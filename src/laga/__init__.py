@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedField,
     VerificationFailed,
 )
-from .fields import GF, QQ, FieldSpec, Fp
+from .fields import GF, QQ, FieldSpec
 from .graphs import (
     ClassPartition,
     LayeredGraph,

@@ -19,20 +19,22 @@ from .errors import (
     LevelMismatch,
     MixedLevels,
     NotUniform,
+    UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import LayeredGraph, V, class_partition, is_uniform, successors
+from .graphs import LayeredGraph, V, class_partition, is_uniform
 from .gralgebra import HilbertTable
 from .linalg import (
     Subspace,
     enumeration_budget,
     full_space,
-    left_kernel,
+    identity,
+    kernel,
     matrix_apply,
     rank,
     reduce_vector,
-    rref,
     span,
+    transpose,
     zero_space,
 )
 
@@ -56,10 +58,14 @@ class BElement:
     def __add__(self, other: "BElement") -> "BElement":
         if other.level != self.level:
             raise LevelMismatch(f"{self.level} vs {other.level}")
+        if other.field != self.field:
+            raise UnsupportedField(
+                f"{self.field.describe()} vs {other.field.describe()}"
+            )
         return BElement(
             self.field,
             self.level,
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
+            tuple(self.field.axpy(self.coords, -1, other.coords)),
         )
 
 
@@ -72,7 +78,7 @@ def vertex_element(g: LayeredGraph, v: V, field: FieldSpec = QQ) -> BElement:
 def element(g: LayeredGraph, level: int, coords, field: FieldSpec = QQ) -> BElement:
     if len(coords) != g.levels[level]:
         raise DimensionMismatch(f"{len(coords)} coords for level of size {g.levels[level]}")
-    return BElement(field, level, tuple(field(c) for c in coords))
+    return BElement(field, level, tuple(field.vector(coords)))
 
 
 def relation_space(g: LayeredGraph, n: int, field: FieldSpec = QQ) -> Subspace:
@@ -119,7 +125,7 @@ def gr_quadratic_space(g: LayeredGraph, n: int, field: FieldSpec = QQ) -> Subspa
         for u in sv[1:]:
             vec = [field.zero] * cols
             vec[v.index * width + sv[0].index] = field.one
-            vec[v.index * width + u.index] = -field.one
+            vec[v.index * width + u.index] = field(-1)
             gens.append(vec)
     return span(gens, cols, field)
 
@@ -203,8 +209,9 @@ def component(g: LayeredGraph, m: int, n: int, field: FieldSpec = QQ) -> Bigrade
                             continue
                         v = V(lvl, flat // width)
                         w = V(lvl - 1, flat % width)
+                        # distinct (v, w) give distinct words: no sums
                         word = tuple(lword) + (v, w) + tuple(rword)
-                        vec[index[word]] = vec[index[word]] + c
+                        vec[index[word]] = c
                     gens.append(vec)
     relations = span(gens, len(words), field)
     pivots = [
@@ -270,6 +277,10 @@ def kappa_kernel(g: LayeredGraph, a: BElement, field: FieldSpec | None = None) -
     """Oracle path: kernel of left multiplication into the degree-2
     component, computed from structure constants."""
     field = field or a.field
+    if field != a.field:
+        raise UnsupportedField(
+            f"{a.field.describe()} element, {field.describe()} kernel"
+        )
     n = a.level
     if n < 1:
         raise MixedLevels("kappa needs a positive level")
@@ -289,18 +300,15 @@ def kappa_kernel(g: LayeredGraph, a: BElement, field: FieldSpec | None = None) -
         for v, c in support:
             img = images[(v, w)]
             if acc is None:
-                acc = [c * x for x in img]
+                acc = field.scale(img, c)
             else:
-                acc = [u + c * x for u, x in zip(acc, img)]
+                acc = field.axpy(acc, -c, img)
         rows.append(acc if acc is not None else [])
     free_dim = max((len(r) for r in rows), default=0)
     if free_dim == 0:
         return full_space(width, field)
     rows = [r if r else [field.zero] * free_dim for r in rows]
-    transpose = [[rows[i][j] for i in range(width)] for j in range(free_dim)]
-    from .linalg import kernel
-
-    return kernel(transpose, width, field)
+    return kernel(transpose(rows), width, field)
 
 
 def k_stats(g: LayeredGraph, vertex_set, *, level: int | None = None):
@@ -327,7 +335,7 @@ def quadratic_dual_check(g: LayeredGraph, n: int, field: FieldSpec = QQ) -> bool
         return False
     for x in rb.basis:
         for y in rgr.basis:
-            if sum((a * b for a, b in zip(x, y)), field.zero) != 0:
+            if field.dot(x, y) != 0:
                 return False
     return True
 
@@ -350,26 +358,17 @@ def iso_condition_check(
     for lvl in range(1, g1.top_level + 1):
         mat = level_maps.get(lvl)
         if mat is None:
-            mat = [
-                [field.one if i == j else field.zero for j in range(g1.levels[lvl])]
-                for i in range(g1.levels[lvl])
-            ]
-        mat = [[field(x) for x in row] for row in mat]
+            mat = identity(g1.levels[lvl], field)
+        mat = [field.vector(row) for row in mat]
         if len(mat) != g1.levels[lvl] or rank(mat, field) != g1.levels[lvl]:
             raise DimensionMismatch(f"level {lvl} map is not invertible")
         maps[lvl] = mat
     for n in range(2, g1.top_level + 1):
+        # row images x -> x M are M^T applied to x
+        below_t = transpose(maps[n - 1])
         for v in g1.level_vertices(n):
             kv = kappa_combinatorial(g1, [v], field=field)
-            image_rows = [
-                matrix_apply(
-                    [[maps[n - 1][i][j] for i in range(g1.levels[n - 1])]
-                     for j in range(g1.levels[n - 1])],
-                    row,
-                    field,
-                )
-                for row in kv.basis
-            ]
+            image_rows = [matrix_apply(below_t, row, field) for row in kv.basis]
             phi_kv = span(image_rows, g1.levels[n - 1], field)
             image_v = BElement(field, n, tuple(maps[n][v.index]))
             k_phi_v = kappa_of_element(g2, image_v)

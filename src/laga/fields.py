@@ -1,8 +1,15 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
-Scalars are either `fractions.Fraction` (rationals) or `Fp` residues.
-Both support +, -, *, /, == 0 tests, and hashing, so the linear algebra
-in `laga.linalg` is generic over the field.
+A rational scalar is a `fractions.Fraction`; an F_p scalar is a plain
+`int` in [0, p).  Scalars carry no field of their own, so every
+computation names its `FieldSpec`, and containers that hold scalars
+(subspaces, elements, views) compare their `.field` before mixing.
+
+`FieldSpec` coerces a value (or with `vector`, a row) into its field and
+supplies the row-level operations the linear algebra is written in:
+`inv`, `scale`, `axpy` and `dot`.  Over F_p each reduces modulo p once
+per entry; over Q it is the same expression without the reduction, so
+`laga.linalg` has one code path for both fields.
 """
 
 from __future__ import annotations
@@ -30,47 +37,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Fp:
-    """A residue modulo a prime p."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def __add__(self, other):
-        return Fp(self.v + other.v, self.p)
-
-    def __sub__(self, other):
-        return Fp(self.v - other.v, self.p)
-
-    def __neg__(self):
-        return Fp(-self.v, self.p)
-
-    def __mul__(self, other):
-        return Fp(self.v * other.v, self.p)
-
-    def __truediv__(self, other):
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return Fp(self.v * pow(other.v, self.p - 2, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return isinstance(other, Fp) and self.p == other.p and self.v == other.v
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v}~{self.p}"
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """Either the rationals (p is None) or the prime field F_p."""
@@ -86,17 +52,23 @@ class FieldSpec:
     def is_rational(self) -> bool:
         return self.p is None
 
-    def __call__(self, x) -> Fraction | Fp:
-        """Coerce an int / Fraction / Fp into this field."""
+    def __call__(self, x) -> Fraction | int:
+        """Coerce an int or Fraction into this field; F_p takes only
+        integral values."""
         if self.p is None:
-            if isinstance(x, Fp):
-                raise UnsupportedField("cannot coerce F_p residue into Q")
             return Fraction(x)
-        if isinstance(x, Fp):
-            if x.p != self.p:
-                raise UnsupportedField("residue from a different prime field")
-            return x
-        return Fp(int(x), self.p)
+        if type(x) is not int:
+            if isinstance(x, Fraction) and x.denominator != 1:
+                raise UnsupportedField(f"cannot coerce {x} into {self.describe()}")
+            x = int(x)
+        return x % self.p
+
+    def vector(self, xs) -> list:
+        """Every entry of xs coerced into this field."""
+        p = self.p
+        if p is not None and all(type(x) is int for x in xs):
+            return [x % p for x in xs]
+        return [self(x) for x in xs]
 
     @property
     def zero(self):
@@ -105,6 +77,37 @@ class FieldSpec:
     @property
     def one(self):
         return self(1)
+
+    def inv(self, a):
+        """Multiplicative inverse of a nonzero scalar."""
+        if a == 0:
+            raise ZeroDivisionError(f"division by zero in {self.describe()}")
+        if self.p is None:
+            return 1 / Fraction(a)
+        return pow(a, self.p - 2, self.p)
+
+    # Over Q the zero test skips a Fraction operation per zero entry,
+    # which is most of them in the sparse relation matrices; over F_p
+    # the test costs as much as the int arithmetic it would save.
+
+    def scale(self, row, c) -> list:
+        """c * row."""
+        p = self.p
+        if p is None:
+            return [c * x if x else x for x in row]
+        return [c * x % p for x in row]
+
+    def axpy(self, row, f, other) -> list:
+        """row - f * other; f may be any integer over F_p."""
+        p = self.p
+        if p is None:
+            return [a - f * b if b else a for a, b in zip(row, other)]
+        return [(a - f * b) % p for a, b in zip(row, other)]
+
+    def dot(self, x, y):
+        """The coordinate pairing sum(x_i * y_i)."""
+        total = sum(a * b for a, b in zip(x, y))
+        return Fraction(total) if self.p is None else total % self.p
 
     def describe(self) -> str:
         return "Q" if self.p is None else f"F_{self.p}"

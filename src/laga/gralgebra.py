@@ -9,27 +9,35 @@ exact linear algebra for the quotient by equal-start path differences.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import BudgetExceeded, KOutOfRange, MultipleMinimal, EmptySuccessor
+from .errors import (
+    BudgetExceeded,
+    EmptySuccessor,
+    KOutOfRange,
+    MultipleMinimal,
+    UnsupportedField,
+)
 from .fields import QQ, FieldSpec
 from .graphs import LayeredGraph, V
-from .linalg import enumeration_budget, rank, rref
+from .linalg import enumeration_budget
 
 Word = tuple[V, ...]
 
 
 class FreeElement:
     """An element of the free algebra on V_+: a finite scalar combination
-    of vertex words.  Immutable in spirit; do not mutate .terms."""
+    of vertex words.  Immutable in spirit; do not mutate .terms.  The
+    constructor reduces every coefficient into the field, so arithmetic
+    may hand it unreduced sums and products."""
 
     __slots__ = ("field", "terms")
 
     def __init__(self, terms: dict[Word, object] | None = None, field: FieldSpec = QQ):
         self.field = field
-        self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
+        coerced = ((w, field(c)) for w, c in (terms or {}).items())
+        self.terms = {w: c for w, c in coerced if c != 0}
 
     @classmethod
     def scalar(cls, value, field: FieldSpec = QQ) -> "FreeElement":
@@ -39,10 +47,17 @@ class FreeElement:
     def word(cls, word: Word, field: FieldSpec = QQ) -> "FreeElement":
         return cls({tuple(word): field.one}, field)
 
+    def _check_field(self, other: "FreeElement") -> None:
+        if other.field != self.field:
+            raise UnsupportedField(
+                f"{self.field.describe()} vs {other.field.describe()}"
+            )
+
     def __add__(self, other: "FreeElement") -> "FreeElement":
+        self._check_field(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            terms[w] = terms.get(w, self.field.zero) + c
+            terms[w] = terms.get(w, 0) + c
         return FreeElement(terms, self.field)
 
     def __sub__(self, other: "FreeElement") -> "FreeElement":
@@ -52,12 +67,12 @@ class FreeElement:
         return FreeElement({w: -c for w, c in self.terms.items()}, self.field)
 
     def __mul__(self, other: "FreeElement") -> "FreeElement":
+        self._check_field(other)
         terms: dict[Word, object] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                prod = c1 * c2
-                terms[w] = terms.get(w, self.field.zero) + prod
+                terms[w] = terms.get(w, 0) + c1 * c2
         return FreeElement(terms, self.field)
 
     def scale(self, value) -> "FreeElement":
@@ -68,7 +83,11 @@ class FreeElement:
         return not self.terms
 
     def __eq__(self, other):
-        return isinstance(other, FreeElement) and self.terms == other.terms
+        return (
+            isinstance(other, FreeElement)
+            and self.field == other.field
+            and self.terms == other.terms
+        )
 
     def __repr__(self):
         if not self.terms:
@@ -189,12 +208,6 @@ def covers_pair(g: LayeredGraph, p1: tuple[V, int], p2: tuple[V, int]) -> bool:
     return v.level - w.level == k and g.reaches(v, w) and v != w
 
 
-def is_basis_sequence(g: LayeredGraph, pairs: PairSequence) -> bool:
-    return all(
-        not covers_pair(g, pairs[i], pairs[i + 1]) for i in range(len(pairs) - 1)
-    )
-
-
 def sequence_monomial(g: LayeredGraph, pairs: PairSequence) -> Word:
     out: list[V] = []
     for v, k in pairs:
@@ -299,65 +312,6 @@ def _vertex_paths_from(g: LayeredGraph, v: V, nverts: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
-def rgr_generators(g: LayeredGraph, nverts: int, field: FieldSpec = QQ) -> list[FreeElement]:
-    """Differences of equal-start vertex paths with nverts vertices.
-
-    For each start vertex the differences against the first path span the
-    same space as all pairwise differences.
-    """
-    gens = []
-    for v in g.positive_vertices():
-        paths = _vertex_paths_from(g, v, nverts)
-        for other in paths[1:]:
-            gens.append(FreeElement.word(paths[0], field) - FreeElement.word(other, field))
-    return gens
-
-
-def rgr_relations(g: LayeredGraph, m: int, n: int, field: FieldSpec = QQ) -> list[FreeElement]:
-    """A spanning set for the bidegree-(m, n) slice of the ideal of
-    equal-start path differences: generators in every two-sided context."""
-    out: list[FreeElement] = []
-    for gen_len in range(2, m + 1):
-        gens = [
-            gen for gen in rgr_generators(g, gen_len, field)
-        ]
-        if not gens:
-            continue
-        by_weight: dict[int, list[FreeElement]] = {}
-        for gen in gens:
-            wt = word_weight(next(iter(gen.terms)))
-            by_weight.setdefault(wt, []).append(gen)
-        for lw in range(0, m - gen_len + 1):
-            rw = m - gen_len - lw
-            for gen_wt, gen_list in by_weight.items():
-                for left_wt in range(0, n - gen_wt + 1):
-                    right_wt = n - gen_wt - left_wt
-                    lefts = words_of_bidegree(g, lw, left_wt)
-                    rights = words_of_bidegree(g, rw, right_wt)
-                    if not lefts or not rights:
-                        continue
-                    for gen in gen_list:
-                        for lword in lefts:
-                            for rword in rights:
-                                out.append(
-                                    FreeElement.word(lword, field)
-                                    * gen
-                                    * FreeElement.word(rword, field)
-                                )
-    return out
-
-
-def _relation_matrix(words: list[Word], relations: list[FreeElement]):
-    index = {w: i for i, w in enumerate(words)}
-    rows = []
-    for rel in relations:
-        row = [rel.field.zero] * len(words)
-        for w, c in rel.terms.items():
-            row[index[w]] = c
-        rows.append(row)
-    return rows
-
-
 class _UnionFind:
     def __init__(self, size: int):
         self.parent = list(range(size))
@@ -445,38 +399,8 @@ def in_relation_span(
     sums: dict[int, object] = {}
     for w, c in el.terms.items():
         root = uf.find(index[w])
-        sums[root] = sums.get(root, el.field.zero) + c
-    return all(total == 0 for total in sums.values())
-
-
-def _quadratic_padded_relations(
-    g: LayeredGraph, m: int, n: int, field: FieldSpec
-) -> list[FreeElement]:
-    """Context-padded degree-2 generators only (the quadratic closure)."""
-    out: list[FreeElement] = []
-    gens = rgr_generators(g, 2, field)
-    by_weight: dict[int, list[FreeElement]] = {}
-    for gen in gens:
-        wt = word_weight(next(iter(gen.terms)))
-        by_weight.setdefault(wt, []).append(gen)
-    for lw in range(0, m - 1):
-        rw = m - 2 - lw
-        for gen_wt, gen_list in by_weight.items():
-            for left_wt in range(0, n - gen_wt + 1):
-                right_wt = n - gen_wt - left_wt
-                lefts = words_of_bidegree(g, lw, left_wt)
-                rights = words_of_bidegree(g, rw, right_wt)
-                if not lefts or not rights:
-                    continue
-                for gen in gen_list:
-                    for lword in lefts:
-                        for rword in rights:
-                            out.append(
-                                FreeElement.word(lword, field)
-                                * gen
-                                * FreeElement.word(rword, field)
-                            )
-    return out
+        sums[root] = sums.get(root, 0) + c
+    return all(el.field(total) == 0 for total in sums.values())
 
 
 def is_quadratic_to_degree(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, NamedTuple, Optional
 
@@ -20,7 +20,7 @@ from .errors import (
     MultipleMinimal,
     UnsupportedField,
 )
-from .fields import GF
+from .fields import GF, _is_prime
 from .linalg import rref
 
 
@@ -163,7 +163,6 @@ def _rref_matrices(q: int, n: int, k: int):
     if k == 0:
         yield ()
         return
-    fld = GF(q)
     for pivots in itertools.combinations(range(n), k):
         free_pos = [
             (r, c)
@@ -178,7 +177,6 @@ def _rref_matrices(q: int, n: int, k: int):
             for (r, c), val in zip(free_pos, vals):
                 mat[r][c] = val
             yield tuple(tuple(row) for row in mat)
-    del fld
 
 
 def build_subspace_lattice(q: int, n: int) -> LayeredGraph:
@@ -218,12 +216,6 @@ def _rows_in_span(rows, rref_basis, fld) -> bool:
         if any(x != 0 for x in residual):
             return False
     return True
-
-
-def _is_prime(n: int) -> bool:
-    from .fields import _is_prime as p
-
-    return p(n)
 
 
 def build_complete_layered(sizes: Iterable[int]) -> LayeredGraph:

@@ -1,7 +1,9 @@
 """Dense exact linear algebra over Q and F_p.
 
 Everything is row-oriented: a matrix is a list of rows, a row a list of
-scalars from `laga.fields`.  Subspaces are kept in canonical reduced
+scalars from `laga.fields` (`Fraction` over Q, an int in [0, p) over
+F_p).  Row arithmetic goes through the `FieldSpec` operations, so one
+code path serves both fields.  Subspaces are kept in canonical reduced
 row echelon form, so equality of subspaces is equality of tuples and
 canonical forms can be used as dictionary keys.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import AmbientMismatch, BudgetExceeded
-from .fields import FieldSpec, Fp
+from .fields import FieldSpec
 
 DEFAULT_BUDGET = 10**7
 
@@ -31,7 +33,7 @@ def rref(rows: Sequence[Sequence], field: FieldSpec):
     Returns (rows, pivot_columns); zero rows are dropped, so the row
     count equals the rank.
     """
-    m = [[field(x) for x in row] for row in rows]
+    m = [field.vector(row) for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -42,12 +44,10 @@ def rref(rows: Sequence[Sequence], field: FieldSpec):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        pivot_row = m[r] = field.scale(m[r], field.inv(m[r][c]))
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = field.axpy(m[i], m[i][c], pivot_row)
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -107,12 +107,7 @@ class Subspace:
 
     def key(self):
         """Hashable canonical key (suitable for multiset comparison)."""
-        if self.field.is_rational:
-            return (self.ambient_dim, self.basis)
-        return (
-            self.ambient_dim,
-            tuple(tuple(x.v for x in row) for row in self.basis),
-        )
+        return (self.ambient_dim, self.basis)
 
 
 def span(vectors: Sequence[Sequence], ambient_dim: int, field: FieldSpec) -> Subspace:
@@ -123,12 +118,15 @@ def span(vectors: Sequence[Sequence], ambient_dim: int, field: FieldSpec) -> Sub
     return Subspace(field, ambient_dim, tuple(tuple(row) for row in reduced))
 
 
+def identity(d: int, field: FieldSpec) -> list[list]:
+    """The d x d identity matrix as a list of fresh rows."""
+    return [[field.one if i == j else field.zero for j in range(d)] for i in range(d)]
+
+
 def full_space(ambient_dim: int, field: FieldSpec) -> Subspace:
-    eye = [
-        [field.one if i == j else field.zero for j in range(ambient_dim)]
-        for i in range(ambient_dim)
-    ]
-    return Subspace(field, ambient_dim, tuple(tuple(r) for r in eye))
+    return Subspace(
+        field, ambient_dim, tuple(tuple(r) for r in identity(ambient_dim, field))
+    )
 
 
 def zero_space(ambient_dim: int, field: FieldSpec) -> Subspace:
@@ -137,12 +135,11 @@ def zero_space(ambient_dim: int, field: FieldSpec) -> Subspace:
 
 def reduce_vector(vector, basis, field: FieldSpec):
     """Subtract the projection onto an RREF basis; exact residual."""
-    v = [field(x) for x in vector]
+    v = field.vector(vector)
     for row in basis:
         pivot = next((c for c, x in enumerate(row) if x != 0), None)
         if pivot is not None and v[pivot] != 0:
-            f = v[pivot]
-            v = [a - f * b for a, b in zip(v, row)]
+            v = field.axpy(v, v[pivot], row)
     return v
 
 
@@ -155,7 +152,7 @@ def kernel(rows: Sequence[Sequence], ncols: int, field: FieldSpec) -> Subspace:
         vec = [field.zero] * ncols
         vec[fc] = field.one
         for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[fc]
+            vec[pc] = field(-row[fc])
         basis.append(vec)
     return span(basis, ncols, field)
 
@@ -165,15 +162,17 @@ def left_kernel(rows: Sequence[Sequence], field: FieldSpec) -> Subspace:
     nrows = len(rows)
     if nrows == 0:
         return zero_space(0, field)
-    ncols = len(rows[0])
-    transpose = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    return kernel(transpose, nrows, field)
+    return kernel(transpose(rows), nrows, field)
+
+
+def transpose(rows: Sequence[Sequence]) -> list[list]:
+    return [list(col) for col in zip(*rows)]
 
 
 def matrix_apply(rows: Sequence[Sequence], vector, field: FieldSpec):
     """M v for M a list of rows."""
-    v = [field(x) for x in vector]
-    return [sum((a * b for a, b in zip(row, v)), field.zero) for row in rows]
+    v = field.vector(vector)
+    return [field.dot(row, v) for row in rows]
 
 
 def enumerate_rays(field: FieldSpec, dim: int, budget: int | None = None) -> Iterator[tuple]:
@@ -188,17 +187,7 @@ def enumerate_rays(field: FieldSpec, dim: int, budget: int | None = None) -> Ite
     limit = budget if budget is not None else enumeration_budget()
     if p**dim > limit:
         raise BudgetExceeded(f"{p}^{dim} rays exceed budget {limit}")
-    one = field.one
-    zero = field.zero
     for lead in reversed(range(dim)):
-        prefix = [zero] * lead + [one]
+        prefix = (0,) * lead + (1,)
         for tail in itertools.product(range(p), repeat=dim - lead - 1):
-            yield tuple(prefix + [Fp(t, p) for t in tail])
-
-
-def vector_key(vector):
-    """Sort/compare key for exact vectors (works for Fraction and Fp)."""
-    out = []
-    for x in vector:
-        out.append(x.v if isinstance(x, Fp) else x)
-    return tuple(out)
+            yield prefix + tail

@@ -16,14 +16,15 @@ the zero space and the out-degree formula still returns 1 there.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .balgebra import BElement, component, iso_condition_check, kappa_combinatorial
 from .errors import (
+    BudgetExceeded,
     LevelMismatch,
     NonNestingViolated,
     NotUniform,
@@ -31,7 +32,7 @@ from .errors import (
     UnsupportedField,
     VerificationFailed,
 )
-from .fields import GF, FieldSpec, Fp
+from .fields import GF, FieldSpec
 from .graphs import (
     LayeredGraph,
     V,
@@ -45,13 +46,16 @@ from .graphs import (
 from .linalg import (
     Subspace,
     enumerate_rays,
+    enumeration_budget,
     full_space,
+    identity,
     kernel,
     left_kernel,
     rank,
     reduce_vector,
     rref,
     span,
+    transpose,
     zero_space,
 )
 
@@ -77,6 +81,11 @@ class AlgebraView:
     level_dims: tuple[int, ...]
     tensors: tuple
     plain: bool = False
+    # kernels and upper bases computed from this view; a lookup never
+    # hashes the tensors, and the entries die with the view
+    _cache: dict = dataclasses.field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     @property
     def top_level(self) -> int:
@@ -86,30 +95,19 @@ class AlgebraView:
         """Bilinear product of a level-n vector and a level-(n-1) vector."""
         if n < 2 or n > self.top_level or self.tensors[n] is None:
             return ()
+        field = self.field
         t = self.tensors[n]
         width = len(t[0][0]) if t and t[0] else 0
-        acc = [self.field.zero] * width
-        for i, a in enumerate(x):
-            a = self.field(a)
+        acc = [field.zero] * width
+        y = field.vector(y)
+        for i, a in enumerate(field.vector(x)):
             if a == 0:
                 continue
             for j, b in enumerate(y):
-                b = self.field(b)
                 if b == 0:
                     continue
-                c = a * b
-                acc = [u + c * w for u, w in zip(acc, t[i][j])]
+                acc = field.axpy(acc, -(a * b), t[i][j])
         return tuple(acc)
-
-
-def _identity_maps(g: LayeredGraph, field: FieldSpec) -> dict[int, list[list]]:
-    return {
-        n: [
-            [field.one if i == j else field.zero for j in range(g.levels[n])]
-            for i in range(g.levels[n])
-        ]
-        for n in range(1, g.top_level + 1)
-    }
 
 
 def _compose(first: list[list], second: list[list], field: FieldSpec) -> list[list]:
@@ -122,7 +120,7 @@ def _compose(first: list[list], second: list[list], field: FieldSpec) -> list[li
         for j, c in enumerate(row):
             if c == 0:
                 continue
-            acc = [x + c * y for x, y in zip(acc, second[j])]
+            acc = field.axpy(acc, -c, second[j])
         out.append(acc)
     return out
 
@@ -132,9 +130,7 @@ def _propose_move(g, n, kappas, field, rng, nonzero):
     kappa containment, a swap inside a kappa-equality class, or a single
     vertex scaling.  May return None when no candidate exists."""
     d = g.levels[n]
-    eye = [
-        [field.one if i == j else field.zero for j in range(d)] for i in range(d)
-    ]
+    eye = identity(d, field)
     kind = rng.randrange(3)
     verts = g.level_vertices(n)
     if kind == 0:
@@ -181,7 +177,7 @@ def _scramble_maps(g: LayeredGraph, field: FieldSpec, rng) -> dict[int, list[lis
     nonzero = list(range(1, field.p)) if field.p else [1, 2, 3, -1, -2]
     for n in range(1, g.top_level + 1):
         lam = field(rng.choice(nonzero))
-        maps[n] = [[lam * x for x in row] for row in maps[n]]
+        maps[n] = [field.scale(row, lam) for row in maps[n]]
         if g.levels[n] < 2:
             continue
         for _ in range(3 * g.levels[n]):
@@ -203,7 +199,7 @@ def algebra_view(
     if not uniform:
         raise NotUniform(f"witness: {witness}")
     if scramble_seed is None:
-        maps = _identity_maps(g, field)
+        maps = {n: identity(g.levels[n], field) for n in range(1, g.top_level + 1)}
     else:
         import random
 
@@ -223,8 +219,7 @@ def algebra_view(
                     for wi, b in enumerate(maps[n - 1][j]):
                         if b == 0:
                             continue
-                        pos = index[(V(n, vi), V(n - 1, wi))]
-                        vec[pos] = vec[pos] + a * b
+                        vec[index[(V(n, vi), V(n - 1, wi))]] = field(a * b)
                 row.append(comp.project(vec))
             level_tensor.append(tuple(row))
         tensors.append(tuple(level_tensor))
@@ -236,8 +231,7 @@ def algebra_view(
     )
 
 
-@lru_cache(maxsize=None)
-def _kappa_view_cached(view: AlgebraView, n: int, coords: tuple) -> Subspace:
+def _left_mult_kernel(view: AlgebraView, n: int, coords: tuple) -> Subspace:
     field = view.field
     d_prev = view.level_dims[n - 1]
     if n == 1:
@@ -250,14 +244,13 @@ def _kappa_view_cached(view: AlgebraView, n: int, coords: tuple) -> Subspace:
         for i, a in enumerate(coords):
             if a == 0:
                 continue
-            acc = [u + a * w for u, w in zip(acc, t[i][j])]
+            acc = field.axpy(acc, -a, t[i][j])
         rows.append(acc)
     if not rows:
         return zero_space(0, field)
     if not rows[0]:
         return full_space(d_prev, field)
-    transpose = [[rows[i][j] for i in range(d_prev)] for j in range(len(rows[0]))]
-    return kernel(transpose, d_prev, field)
+    return kernel(transpose(rows), d_prev, field)
 
 
 def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
@@ -265,10 +258,14 @@ def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
     canonical subspace in level-(n-1) view coordinates."""
     if not 1 <= n <= view.top_level:
         raise LevelMismatch(f"level {n} outside 1..{view.top_level}")
-    norm = tuple(view.field(c) for c in coords)
+    norm = tuple(view.field.vector(coords))
     if len(norm) != view.level_dims[n]:
         raise LevelMismatch(f"{len(norm)} coords at level of dimension {view.level_dims[n]}")
-    return _kappa_view_cached(view, n, norm)
+    key = ("kappa", n, norm)
+    kap = view._cache.get(key)
+    if kap is None:
+        kap = view._cache[key] = _left_mult_kernel(view, n, norm)
+    return kap
 
 
 @dataclass(frozen=True)
@@ -321,7 +318,7 @@ def _right_mult_kernel(view: AlgebraView, n: int, y) -> Subspace:
         for j, b in enumerate(y):
             if b == 0:
                 continue
-            acc = [u + b * w for u, w in zip(acc, t[i][j])]
+            acc = field.axpy(acc, -b, t[i][j])
         rows.append(acc)
     if width == 0:
         return full_space(d, field)
@@ -365,15 +362,9 @@ def _sampled_vertex_rays(view: AlgebraView, n: int):
         )
     if rank([list(r) for r in found], field) != d:
         raise VerificationFailed(f"sampled rays at level {n} are dependent")
-    from .linalg import vector_key
-
-    pairs = sorted(
-        found.items(), key=lambda item: (-item[1].dim, vector_key(item[0]))
-    )
-    return pairs
+    return sorted(found.items(), key=lambda item: (-item[1].dim, item[0]))
 
 
-@lru_cache(maxsize=None)
 def upper_vertex_like_basis(
     view: AlgebraView, n: int, mode: str = "auto"
 ) -> UpperBasis:
@@ -396,6 +387,16 @@ def upper_vertex_like_basis(
             mode = "sampled"
         else:
             mode = "exhaustive"
+    key = ("basis", n, mode)
+    basis = view._cache.get(key)
+    if basis is None:
+        basis = view._cache[key] = _upper_basis(view, n, mode)
+    return basis
+
+
+def _upper_basis(view: AlgebraView, n: int, mode: str) -> UpperBasis:
+    field = view.field
+    d = view.level_dims[n]
     if mode == "sampled":
         if field.is_rational:
             raise UnsupportedField("kernel sampling needs a finite field")
@@ -462,6 +463,11 @@ def intersection_size(view: AlgebraView, b1: BElement, b2: BElement) -> int:
     vectors; values <= 1 do not distinguish 0 from 1."""
     if b1.level != b2.level:
         raise LevelMismatch(f"{b1.level} vs {b2.level}")
+    for b in (b1, b2):
+        if b.field != view.field:
+            raise UnsupportedField(
+                f"{b.field.describe()} element in a {view.field.describe()} view"
+            )
     n = b1.level
     kap1 = kappa_view(view, n, b1.coords)
     kap2 = kappa_view(view, n, b2.coords)
@@ -525,7 +531,7 @@ def reconstruct_nonnesting(
 def _annihilator(sub: Subspace) -> list[list]:
     """RREF rows whose right kernel is exactly the given subspace."""
     if sub.dim == 0:
-        return [list(row) for row in full_space(sub.ambient_dim, sub.field).basis]
+        return identity(sub.ambient_dim, sub.field)
     return [
         list(row)
         for row in kernel(
@@ -542,12 +548,20 @@ def _level_one_sets(view: AlgebraView, basis2: UpperBasis, size: int, count: int
     anns = [_annihilator(kap) for kap in basis2.kappas]
     m = len(anns)
     found = []
+    budget = enumeration_budget()
+    nodes = 0
 
     def extend(start: int, left: int, rows: list):
+        nonlocal nodes
         if left == 0:
             found.append(tuple(current))
             return
         for j in range(start, m - left + 1):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(
+                    f"level-1 set search: {nodes} backtrack nodes exceed budget {budget}"
+                )
             new_rows = rows
             for r in anns[j]:
                 residual = reduce_vector(r, new_rows, field)
@@ -626,7 +640,7 @@ def reconstruct_subspace(view: AlgebraView, q: int, n: int) -> LayeredGraph:
 
 
 def _scalar_to_json(x):
-    return x.v if isinstance(x, Fp) else str(x)
+    return x if isinstance(x, int) else str(x)
 
 
 def _scalar_from_json(field: FieldSpec, raw):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 from laga import (
     GF,
     QQ,
+    AmbientMismatch,
     BElement,
     DimensionMismatch,
+    FreeElement,
     LevelMismatch,
     NotUniform,
+    UnsupportedField,
     V,
     b_dimension,
     b_hilbert_table,
@@ -44,6 +48,21 @@ def test_belement_basics(boolean3):
         a + vertex_element(boolean3, V(1, 0))
     with pytest.raises(DimensionMismatch):
         element(boolean3, 2, [1, 0])
+
+
+def test_mixing_fields_raises(boolean3):
+    a = vertex_element(boolean3, V(2, 0), F3)
+    b = vertex_element(boolean3, V(2, 1), GF(5))
+    with pytest.raises(UnsupportedField):
+        a + b
+    with pytest.raises(UnsupportedField):
+        kappa_kernel(boolean3, a, GF(5))
+    with pytest.raises(UnsupportedField):
+        F3(Fraction(1, 2))
+    with pytest.raises(AmbientMismatch):
+        full_space(3, F3).intersect(full_space(3, GF(5)))
+    with pytest.raises(UnsupportedField):
+        FreeElement.word((V(1, 0),), F3) + FreeElement.word((V(1, 0),), GF(5))
 
 
 def test_relation_space_level_one_is_everything(boolean3):

@@ -71,7 +71,7 @@ def test_kernel_annihilates_and_has_complementary_dim(data):
     assert ker.dim == ncols - rank(m, field)
     for vec in ker.basis:
         for row in m:
-            assert sum((a * b for a, b in zip(row, vec)), field.zero) == 0
+            assert field.dot(row, vec) == 0
 
 
 @given(matrices())
@@ -82,8 +82,31 @@ def test_left_kernel_annihilates(data):
     ncols = len(m[0])
     for vec in ker.basis:
         for c in range(ncols):
-            total = sum((vec[i] * m[i][c] for i in range(len(m))), field.zero)
+            total = field.dot(vec, [row[c] for row in m])
             assert total == 0
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_prime_field_results_are_reduced_ints(p, data):
+    field = GF(p)
+    ncols = data.draw(st.integers(1, 4))
+    raw = st.lists(
+        st.lists(st.integers(-10, 10), min_size=ncols, max_size=ncols),
+        min_size=1,
+        max_size=4,
+    )
+    a, b = data.draw(raw), data.draw(raw)
+    results = [
+        rref(a, field)[0],
+        kernel(a, ncols, field).basis,
+        span(a, ncols, field).basis,
+        span(a, ncols, field).intersect(span(b, ncols, field)).basis,
+        list(enumerate_rays(field, ncols)),
+    ]
+    for rows in results:
+        for row in rows:
+            assert all(type(x) is int and 0 <= x < p for x in row)
 
 
 @st.composite
@@ -141,7 +164,7 @@ def test_full_and_zero_space():
 
 
 def test_enumerate_rays_f2_dim2_order():
-    rays = [tuple(x.v for x in r) for r in enumerate_rays(F2, 2)]
+    rays = [tuple(x for x in r) for r in enumerate_rays(F2, 2)]
     assert rays == [(0, 1), (1, 0), (1, 1)]
 
 

@@ -1,13 +1,18 @@
+import gc
+import weakref
+
 import pytest
 
 from laga import (
     GF,
     AlgebraView,
     BElement,
+    BudgetExceeded,
     LevelMismatch,
     NonNestingViolated,
     NotUniform,
     ReconstructionFailed,
+    UnsupportedField,
     V,
     algebra_view,
     are_isomorphic,
@@ -49,6 +54,9 @@ def test_plain_view_shape(boolean3):
     scrambled = algebra_view(boolean3, scramble_seed=1)
     assert not scrambled.plain
     assert scrambled.level_dims == view.level_dims
+    t = scrambled.tensors[2]
+    expected = tuple((a + 2 * b) % 3 for a, b in zip(t[0][1], t[1][1]))
+    assert scrambled.multiply(2, (1, 2, 0), (0, 1, 0)) == expected
 
 
 def test_kappa_view_matches_combinatorial_on_plain(boolean3):
@@ -166,10 +174,40 @@ def test_complete_graph_fails_boolean_recovery():
 
 
 def test_view_json_round_trip(boolean3):
-    for seed in (None, 2):
-        view = algebra_view(boolean3, scramble_seed=seed)
+    for field, seed in ((F3, None), (F3, 2), (GF(5), 2)):
+        view = algebra_view(boolean3, field, scramble_seed=seed)
         again = view_from_json_dict(view_to_json_dict(view))
         assert again == view
+
+
+def test_views_are_not_kept_alive_by_caches(boolean4):
+    view = algebra_view(boolean4, scramble_seed=3)
+    ref = weakref.ref(view)
+    reconstruct_boolean(view, 4)
+    del view
+    gc.collect()
+    assert ref() is None
+
+
+def test_level_one_search_respects_budget(boolean4, monkeypatch):
+    view = algebra_view(boolean4, scramble_seed=5)
+    # the upper bases stay cached on the view, so under the tiny budget
+    # only the level-1 set search enumerates anything
+    for n in range(2, 5):
+        upper_vertex_like_basis(view, n)
+    monkeypatch.setenv("LAGA_BUDGET", "5")
+    with pytest.raises(BudgetExceeded, match="level-1 set search: 6 backtrack nodes"):
+        reconstruct_boolean(view, 4)
+    monkeypatch.delenv("LAGA_BUDGET")
+    assert are_isomorphic(reconstruct_boolean(view, 4), boolean4) is not None
+
+
+def test_view_rejects_elements_of_another_field(boolean3):
+    view = algebra_view(boolean3, scramble_seed=1)
+    a = BElement(GF(5), 2, (1, 0, 0))
+    b = BElement(F3, 2, (0, 1, 0))
+    with pytest.raises(UnsupportedField):
+        intersection_size(view, a, b)
 
 
 def test_invariants_are_scramble_invariant(subspace23):
