@@ -248,15 +248,20 @@ def normalize(g: LayeredGraph, word: Word) -> Word:
 def enumerate_B_basis(g: LayeredGraph, m: int, n: int) -> list[PairSequence]:
     """All non-covering pair sequences of total word length m and vertex
     weight n, in canonical order."""
+    # an explicit stack, not a recursive closure: a closure that calls
+    # itself is a reference cycle, which would keep `out` alive until the
+    # cyclic collector ran
     out: list[PairSequence] = []
     verts = g.positive_vertices()
-
-    def extend(prefix: list[tuple[V, int]], length: int, weight: int):
+    stack: list[tuple[PairSequence, int, int]] = [((), 0, 0)]
+    while stack:
+        prefix, length, weight = stack.pop()
         if length == m and weight == n:
-            out.append(tuple(prefix))
-            return
+            out.append(prefix)
+            continue
         if length >= m or weight >= n:
-            return
+            continue
+        children = []
         for v in verts:
             for k in range(1, min(v.level, m - length) + 1):
                 w = pair_weight((v, k))
@@ -264,38 +269,38 @@ def enumerate_B_basis(g: LayeredGraph, m: int, n: int) -> list[PairSequence]:
                     continue
                 if prefix and covers_pair(g, prefix[-1], (v, k)):
                     continue
-                prefix.append((v, k))
-                extend(prefix, length + k, weight + w)
-                prefix.pop()
-
-    extend([], 0, 0)
+                children.append((prefix + ((v, k),), length + k, weight + w))
+        stack.extend(reversed(children))
     return out
 
 
 def words_of_bidegree(g: LayeredGraph, m: int, n: int) -> list[Word]:
     """All words over V_+ of length m and vertex weight n."""
-    out: list[Word] = []
+    if m == 0:
+        return [()] if n == 0 else []
     verts = g.positive_vertices()
+    top = g.top_level
     budget = enumeration_budget()
-
-    def extend(prefix: list[V], weight: int):
-        if len(prefix) == m:
-            if weight == n:
-                out.append(tuple(prefix))
-                if len(out) > budget:
-                    raise BudgetExceeded(f"bidegree ({m},{n}) word count")
-            return
-        remaining = m - len(prefix)
-        for v in verts:
-            w = weight + v.level
-            if w + (remaining - 1) > n or w + (remaining - 1) * g.top_level < n:
-                continue
-            prefix.append(v)
-            extend(prefix, w)
-            prefix.pop()
-
-    extend([], 0)
-    return out
+    # extend the prefixes one letter at a time, keeping those that can
+    # still reach weight n: each extends to at least one word, so no list
+    # here is longer than the answer, and no recursive closure (a
+    # reference cycle) keeps the words alive after the caller drops them
+    prefixes: list[tuple[Word, int]] = [((), 0)]
+    for remaining in range(m - 1, 0, -1):
+        prefixes = [
+            (prefix + (v,), w)
+            for prefix, weight in prefixes
+            for v in verts
+            if remaining + (w := weight + v.level) <= n and w + remaining * top >= n
+        ]
+        if len(prefixes) > budget:
+            raise BudgetExceeded(f"bidegree ({m},{n}) word count")
+    words = [
+        prefix + (v,) for prefix, weight in prefixes for v in verts if weight + v.level == n
+    ]
+    if len(words) > budget:
+        raise BudgetExceeded(f"bidegree ({m},{n}) word count")
+    return words
 
 
 @cache
@@ -416,15 +421,20 @@ def is_quadratic_to_degree(
     top_weight = g.top_level
     for m in range(3, d + 1):
         for n in range(m, m * top_weight + 1):
-            words, index, uf = _word_classes(g, m, n, 2)
-            if not words:
-                continue
-            quad_count = uf.count
-            for gen_len in range(3, m + 1):
-                _union_padded_pairs(g, m, n, uf, index, gen_len)
-            if uf.count != quad_count:
+            if not _quadratic_in(g, m, n):
                 return False, (m, n)
     return True, None
+
+
+def _quadratic_in(g: LayeredGraph, m: int, n: int) -> bool:
+    """Whether the longer generators merge no word classes of bidegree
+    (m, n) beyond the padded degree-2 ones.  A function of its own, so
+    one bidegree's words are freed before the next one's are built."""
+    _, index, uf = _word_classes(g, m, n, 2)
+    quad_count = uf.count
+    for gen_len in range(3, m + 1):
+        _union_padded_pairs(g, m, n, uf, index, gen_len)
+    return uf.count == quad_count
 
 
 @dataclass(frozen=True)

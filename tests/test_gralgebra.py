@@ -1,3 +1,5 @@
+import gc
+import itertools
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from laga import (
     QQ,
+    BudgetExceeded,
     FreeElement,
     KOutOfRange,
     V,
@@ -134,6 +137,48 @@ def test_pair_sequences_count_random_uniform(seed):
 def test_words_of_bidegree(boolean3):
     assert len(words_of_bidegree(boolean3, 2, 3)) == 2 * 3 * 3
     assert words_of_bidegree(boolean3, 2, 1) == []
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 10_000))
+def test_words_of_bidegree_is_the_filtered_product(seed):
+    g = random_uniform_graph(random.Random(seed), max_levels=3, max_width=4)
+    verts = g.positive_vertices()
+    for m in range(0, 4):
+        for n in range(0, 8):
+            expected = [
+                w for w in itertools.product(verts, repeat=m) if word_weight(w) == n
+            ]
+            assert words_of_bidegree(g, m, n) == expected
+
+
+def test_pair_sequences_in_canonical_order(boolean3):
+    for m in range(1, 4):
+        for n in range(1, 9):
+            seqs = enumerate_B_basis(boolean3, m, n)
+            assert seqs == sorted(set(seqs))
+
+
+def test_words_of_bidegree_respects_budget(monkeypatch, boolean3):
+    monkeypatch.setenv("LAGA_BUDGET", "17")
+    with pytest.raises(BudgetExceeded, match=r"bidegree \(2,3\) word count"):
+        words_of_bidegree(boolean3, 2, 3)
+    monkeypatch.setenv("LAGA_BUDGET", "18")
+    assert len(words_of_bidegree(boolean3, 2, 3)) == 18
+
+
+def test_word_enumeration_leaves_no_reference_cycles(boolean3):
+    """Words die when the caller drops them, not when the cyclic
+    collector next runs, so peak memory does not depend on its timing."""
+    gc.collect()
+    gc.disable()
+    try:
+        words_of_bidegree(boolean3, 3, 6)
+        enumerate_B_basis(boolean3, 3, 6)
+        is_quadratic_to_degree(boolean3, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_quadratic_for_uniform_graphs(boolean3, subspace23):
