@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import (
     BudgetExceeded,
@@ -22,7 +21,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import LayeredGraph, V, class_partition, is_uniform
+from .graphs import LayeredGraph, V, class_partition, is_uniform, memo
 from .gralgebra import HilbertTable
 from .linalg import (
     Subspace,
@@ -146,12 +145,6 @@ class BigradedComponent:
     def dim(self) -> int:
         return len(self.free_columns)
 
-    def word_index(self, word: Word) -> int:
-        return self._index()[word]
-
-    def _index(self):
-        return {w: i for i, w in enumerate(self.basis_words)}
-
     def project(self, vector) -> tuple:
         """Quotient coordinates: residual against the relation basis,
         restricted to non-pivot columns."""
@@ -177,7 +170,6 @@ def _component_words(g: LayeredGraph, m: int, n: int) -> list[Word]:
     return [tuple(word) for word in itertools.product(*level_ranges)]
 
 
-@cache
 def component(g: LayeredGraph, m: int, n: int, field: FieldSpec = QQ) -> BigradedComponent:
     """Exact bidegree-(m, n) component of the quotient algebra."""
     if m == 1:
@@ -260,7 +252,7 @@ def kappa_of_element(g: LayeredGraph, a: BElement) -> Subspace:
     return kappa_combinatorial(g, a.support(), field=a.field)
 
 
-@cache
+@memo
 def _projected_word_images(g: LayeredGraph, n: int, field: FieldSpec):
     """Quotient coordinates of every length-2 word v*w with v at level n,
     computed once per graph so kernels of many elements stay cheap."""

@@ -10,7 +10,6 @@ exact linear algebra for the quotient by equal-start path differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import (
     BudgetExceeded,
@@ -20,7 +19,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import LayeredGraph, V
+from .graphs import LayeredGraph, V, memo
 from .linalg import enumeration_budget
 
 Word = tuple[V, ...]
@@ -158,15 +157,6 @@ def leading_part(el: FreeElement) -> FreeElement:
     )
 
 
-@cache
-def _distinguished_next(g: LayeredGraph) -> dict[V, V]:
-    return {
-        v: g.succ(v)[0]
-        for v in g.positive_vertices()
-        if g.succ(v)
-    }
-
-
 def skeleton(g: LayeredGraph, word: Word) -> tuple[int, ...]:
     """Indices (1-based) where maximal distinguished-path runs begin,
     terminated by len(word) + 1."""
@@ -174,11 +164,11 @@ def skeleton(g: LayeredGraph, word: Word) -> tuple[int, ...]:
     l = len(word)
     if l == 0:
         return (1,)
-    nxt = _distinguished_next(g)
     s = [1]
     while s[-1] < l + 1:
         j = s[-1] + 1
-        while j <= l and nxt.get(word[j - 2]) == word[j - 1]:
+        # a run continues along each vertex's first (distinguished) successor
+        while j <= l and g.succ(word[j - 2])[:1] == (word[j - 1],):
             j += 1
         s.append(j)
     return tuple(s)
@@ -303,7 +293,7 @@ def words_of_bidegree(g: LayeredGraph, m: int, n: int) -> list[Word]:
     return words
 
 
-@cache
+@memo
 def _vertex_paths_from(g: LayeredGraph, v: V, nverts: int) -> tuple[Word, ...]:
     """All vertex paths with nverts vertices starting at v."""
     if nverts == 1:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -34,6 +33,22 @@ class V(NamedTuple):
 Edge = tuple[V, V]
 
 
+def memo(fn):
+    """Cache fn(obj, *args) in obj._cache: the result lives and dies with
+    the graph or view it was derived from, and a lookup never hashes obj."""
+
+    def cached(obj, *args):
+        key = (fn, *args)
+        try:
+            return obj._cache[key]
+        except KeyError:
+            value = obj._cache[key] = fn(obj, *args)
+            return value
+
+    cached.__name__, cached.__doc__, cached.__wrapped__ = fn.__name__, fn.__doc__, fn
+    return cached
+
+
 @dataclass(frozen=True)
 class LayeredGraph:
     levels: tuple[int, ...]
@@ -41,6 +56,9 @@ class LayeredGraph:
     unique_minimal: bool = False
     positive_outdegree: bool = False
     labels: tuple[tuple[V, str], ...] = ()
+    _cache: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     @property
     def top_level(self) -> int:
@@ -72,7 +90,7 @@ class LayeredGraph:
         return w == v or w in _reach_map(self)[v]
 
 
-@cache
+@memo
 def _succ_map(g: LayeredGraph) -> dict[V, tuple[V, ...]]:
     out: dict[V, list[V]] = {}
     for t, h in g.edges:
@@ -80,7 +98,7 @@ def _succ_map(g: LayeredGraph) -> dict[V, tuple[V, ...]]:
     return {v: tuple(sorted(ws)) for v, ws in out.items()}
 
 
-@cache
+@memo
 def _pred_map(g: LayeredGraph) -> dict[V, tuple[V, ...]]:
     out: dict[V, list[V]] = {}
     for t, h in g.edges:
@@ -88,7 +106,7 @@ def _pred_map(g: LayeredGraph) -> dict[V, tuple[V, ...]]:
     return {v: tuple(sorted(ws)) for v, ws in out.items()}
 
 
-@cache
+@memo
 def _reach_map(g: LayeredGraph) -> dict[V, frozenset[V]]:
     """Strictly-below reachability, computed level by level."""
     reach: dict[V, set[V]] = {v: set() for v in g.vertices()}
@@ -501,26 +519,29 @@ def are_isomorphic(
                 continue
             yield w
 
-    def backtrack() -> bool:
-        if len(mapping) == len(verts):
-            return True
+    # depth-first search on an explicit stack of (vertex, its remaining
+    # candidates), so no recursive closure keeps the graphs in a cycle
+    frames: list = []
+    while len(mapping) < len(verts):
         # most-constrained vertex first: forced assignments collapse the
         # search on highly symmetric graphs
         v = max(
             (u for u in verts if u not in mapping),
             key=lambda u: (constrained(u), u.level, -u.index),
         )
-        for w in candidates(v):
-            mapping[v] = w
-            used.add(w)
-            if backtrack():
-                return True
-            used.remove(w)
-            del mapping[v]
-        return False
-
-    if not backtrack():
-        return None
+        frames.append((v, candidates(v)))
+        while frames:
+            v, options = frames[-1]
+            if v in mapping:
+                used.remove(mapping.pop(v))
+            w = next(options, None)
+            if w is not None:
+                mapping[v] = w
+                used.add(w)
+                break
+            frames.pop()
+        else:
+            return None
     # post-hoc certificate: the map must carry the edge set exactly
     mapped_edges = {(mapping[t], mapping[h]) for t, h in g1.edges}
     assert mapped_edges == set(g2.edges)

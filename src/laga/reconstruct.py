@@ -42,6 +42,7 @@ from .graphs import (
     build_subspace_lattice,
     gaussian_binomial,
     is_uniform,
+    memo,
 )
 from .linalg import (
     Subspace,
@@ -81,8 +82,7 @@ class AlgebraView:
     level_dims: tuple[int, ...]
     tensors: tuple
     plain: bool = False
-    # kernels and upper bases computed from this view; a lookup never
-    # hashes the tensors, and the entries die with the view
+    # kernels and upper bases computed from this view (see `memo`)
     _cache: dict = dataclasses.field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
@@ -231,6 +231,7 @@ def algebra_view(
     )
 
 
+@memo
 def _left_mult_kernel(view: AlgebraView, n: int, coords: tuple) -> Subspace:
     field = view.field
     d_prev = view.level_dims[n - 1]
@@ -261,11 +262,7 @@ def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
     norm = tuple(view.field.vector(coords))
     if len(norm) != view.level_dims[n]:
         raise LevelMismatch(f"{len(norm)} coords at level of dimension {view.level_dims[n]}")
-    key = ("kappa", n, norm)
-    kap = view._cache.get(key)
-    if kap is None:
-        kap = view._cache[key] = _left_mult_kernel(view, n, norm)
-    return kap
+    return _left_mult_kernel(view, n, norm)
 
 
 @dataclass(frozen=True)
@@ -387,13 +384,10 @@ def upper_vertex_like_basis(
             mode = "sampled"
         else:
             mode = "exhaustive"
-    key = ("basis", n, mode)
-    basis = view._cache.get(key)
-    if basis is None:
-        basis = view._cache[key] = _upper_basis(view, n, mode)
-    return basis
+    return _upper_basis(view, n, mode)
 
 
+@memo
 def _upper_basis(view: AlgebraView, n: int, mode: str) -> UpperBasis:
     field = view.field
     d = view.level_dims[n]
@@ -451,10 +445,10 @@ def _upper_basis(view: AlgebraView, n: int, mode: str) -> UpperBasis:
     )
 
 
-def outdegree_multiset(view: AlgebraView, n: int, mode: str = "exhaustive") -> list[int]:
-    """Hidden out-degrees at level n: level_dims[n-1] - k + 1 per basis
-    vector, sorted ascending."""
-    basis = upper_vertex_like_basis(view, n, mode)
+def outdegree_multiset(view: AlgebraView, n: int) -> list[int]:
+    """Hidden out-degrees at level n: level_dims[n-1] - k + 1 per vector
+    of the default (auto) upper basis, sorted ascending."""
+    basis = upper_vertex_like_basis(view, n)
     return sorted(view.level_dims[n - 1] - k + 1 for k in basis.ks)
 
 
@@ -551,12 +545,16 @@ def _level_one_sets(view: AlgebraView, basis2: UpperBasis, size: int, count: int
     budget = enumeration_budget()
     nodes = 0
 
-    def extend(start: int, left: int, rows: list):
-        nonlocal nodes
+    # depth first on an explicit stack of (chosen indices, their
+    # annihilator rows), so no recursive closure forms a reference cycle
+    stack = [((), [])]
+    while stack:
+        chosen, rows = stack.pop()
+        left = size - len(chosen)
         if left == 0:
-            found.append(tuple(current))
-            return
-        for j in range(start, m - left + 1):
+            found.append(chosen)
+            continue
+        for j in range(chosen[-1] + 1 if chosen else 0, m - left + 1):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(
@@ -567,14 +565,8 @@ def _level_one_sets(view: AlgebraView, basis2: UpperBasis, size: int, count: int
                 residual = reduce_vector(r, new_rows, field)
                 if any(c != 0 for c in residual):
                     new_rows, _ = rref(new_rows + [r], field)
-            if d1 - len(new_rows) < 2:
-                continue
-            current.append(j)
-            extend(j + 1, left - 1, new_rows)
-            current.pop()
-
-    current: list[int] = []
-    extend(0, size, [])
+            if d1 - len(new_rows) >= 2:
+                stack.append((chosen + (j,), new_rows))
     if len(found) != count:
         raise ReconstructionFailed(
             f"found {len(found)} level-1 candidate sets of size {size}, expected {count}"

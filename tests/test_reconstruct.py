@@ -16,11 +16,15 @@ from laga import (
     V,
     algebra_view,
     are_isomorphic,
+    b_hilbert_table,
     build_boolean,
     build_complete_layered,
     build_subspace_lattice,
+    gr_hilbert_table,
     intersection_size,
+    is_quadratic_to_degree,
     kappa_combinatorial,
+    kappa_kernel,
     kappa_view,
     outdegree_multiset,
     reconstruct_boolean,
@@ -112,6 +116,9 @@ def test_outdegree_multisets(boolean3, nested_graph):
     assert outdegree_multiset(view, 2) == [2, 2, 2]
     assert outdegree_multiset(view, 3) == [3]
     assert outdegree_multiset(algebra_view(nested_graph), 2) == [2, 3]
+    # the auto basis samples here instead of scanning all 5^10 rays
+    view = algebra_view(build_boolean(5), GF(5), scramble_seed=1)
+    assert outdegree_multiset(view, 2) == [2] * 10
 
 
 def test_intersection_sizes(boolean3):
@@ -189,6 +196,37 @@ def test_views_are_not_kept_alive_by_caches(boolean4):
     assert ref() is None
 
 
+def test_graphs_are_not_kept_alive_by_caches():
+    g = build_boolean(3)
+    ref = weakref.ref(g)
+    b_hilbert_table(g, 3, 6)
+    gr_hilbert_table(g, 3, 6)
+    is_quadratic_to_degree(g, 3)
+    kappa_kernel(g, BElement(GF(3), 2, (1, 2, 0)))
+    algebra_view(g, scramble_seed=1)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_recovery_and_certificate_leave_no_reference_cycles(boolean4):
+    """A recovered graph and its caches die when the caller drops them,
+    not when the cyclic collector next runs."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = reconstruct_boolean(algebra_view(boolean4, scramble_seed=2), 4)
+        assert are_isomorphic(result, boolean4) is not None
+        del result
+        gc.collect()
+        assert sorted({type(x).__name__ for x in gc.garbage}) == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
 def test_level_one_search_respects_budget(boolean4, monkeypatch):
     view = algebra_view(boolean4, scramble_seed=5)
     # the upper bases stay cached on the view, so under the tiny budget
@@ -214,9 +252,7 @@ def test_invariants_are_scramble_invariant(subspace23):
     plain = algebra_view(subspace23)
     scrambled = algebra_view(subspace23, scramble_seed=11)
     for n in range(2, 4):
-        assert outdegree_multiset(plain, n, "auto") == outdegree_multiset(
-            scrambled, n, "auto"
-        )
+        assert outdegree_multiset(plain, n) == outdegree_multiset(scrambled, n)
 
 
 def test_reconstruction_report(boolean3):
