@@ -63,8 +63,18 @@ from .linalg import (
 F3 = GF(3)
 
 # above this many rays the default basis search switches from the
-# exhaustive greedy scan to kernel sampling
+# exhaustive greedy scan to kernel refinement
 _EXHAUSTIVE_RAY_LIMIT = 20000
+
+# draws of y per vertex ray before kernel refinement gives up.  A
+# one-dimensional kernel is taken as a ray the moment it is drawn, so
+# refinement finds every ray no later than a search for such kernels
+# alone, and 500 per ray is the bound that search had.  A uniform y lies
+# in kappa(v) with probability p^-(codim kappa(v)), which sets the pace:
+# Boolean lattices up to rank 5 over F_2..F_7 and rank 6 over F_3, and
+# subspace lattices (2,3), (3,3) and (2,4), needed at most 50 draws per
+# ray at any level.
+_KERNEL_DRAWS_PER_RAY = 500
 
 
 @dataclass(frozen=True)
@@ -323,15 +333,25 @@ def _right_mult_kernel(view: AlgebraView, n: int, y) -> Subspace:
 
 
 def _sampled_vertex_rays(view: AlgebraView, n: int):
-    """Vertex rays by kernel sampling, for components too large to scan.
+    """Vertex rays by kernel refinement, for components too large to scan.
 
     The degree-2 relation space splits as a direct sum over left
-    factors, so for any y one level down, {a : a * y = 0} is the span of
-    the hidden vertices v with y in the kernel of v.  A sampled y whose
-    right-multiplication kernel is one dimensional therefore exhibits a
-    vertex ray exactly.  Reliable when every kernel dimension is a
-    sizable fraction of the level below; the final isomorphism
-    certificate backstops correctness either way.
+    factors, so for any y one level down, R(y) = {a : a * y = 0} is the
+    span of the hidden vertices v with y in the kernel of v.  Every
+    intersection of such kernels is then the span of a set of hidden
+    vertices, and a one-dimensional one is a vertex ray exactly.
+
+    y is drawn from a stream seeded by the level, so a view always gives
+    the same rays.  A one-dimensional R(y) is taken as a ray directly;
+    a larger one is intersected with every cell kept so far, which keeps
+    the cells closed under intersection.  A cell that the rays and
+    smaller cells inside it already span is dropped: whatever a later
+    kernel cuts out of it, it cuts out of those.  Under non-nesting the
+    cell of a vertex v shrinks to its ray once the y drawn inside
+    kappa(v) span kappa(v).  A view that cannot be refined (nested
+    kernels, or tensors of no uniform graph) stops after
+    `_KERNEL_DRAWS_PER_RAY` draws per ray of the level.  The final
+    isomorphism certificate backstops correctness either way.
     """
     import random
 
@@ -343,23 +363,52 @@ def _sampled_vertex_rays(view: AlgebraView, n: int):
         return [(ray, kappa_view(view, n, ray))]
     rng = random.Random(0x1A6A ^ (n << 16) ^ d)
     found: dict[tuple, Subspace] = {}
-    for _ in range(500 * d):
-        if len(found) == d:
-            break
+    cells: dict[tuple, Subspace] = {}
+    drawn: set = set()
+    draws = 0
+    while len(found) < d and draws < _KERNEL_DRAWS_PER_RAY * d:
+        draws += 1
         y = tuple(field(rng.randrange(field.p)) for _ in range(d_prev))
         ker = _right_mult_kernel(view, n, y)
-        if ker.dim != 1:
+        if ker.dim == 1:
+            pieces = [ker]
+        # a kernel drawn before cuts nothing new out of the cells
+        elif 1 < ker.dim < d and ker.key() not in drawn:
+            drawn.add(ker.key())
+            pieces = [ker] + [ker.intersect(c) for c in cells.values()]
+        else:
             continue
-        ray = ker.basis[0]
-        if ray not in found:
-            found[ray] = kappa_view(view, n, ray)
+        grew = False
+        for piece in pieces:
+            if piece.dim == 1 and piece.basis[0] not in found:
+                found[piece.basis[0]] = kappa_view(view, n, piece.basis[0])
+                grew = True
+            elif piece.dim > 1 and piece.key() not in cells:
+                cells[piece.key()] = piece
+                grew = True
+        if grew and cells:
+            cells = _unrefined_cells(cells, found, field)
     if len(found) < d:
         raise VerificationFailed(
-            f"kernel sampling found {len(found)} of {d} vertex rays at level {n}"
+            f"kernel refinement found {len(found)} of {d} vertex rays at level {n} "
+            f"after {draws} kernels"
         )
     if rank([list(r) for r in found], field) != d:
         raise VerificationFailed(f"sampled rays at level {n} are dependent")
     return sorted(found.items(), key=lambda item: (-item[1].dim, item[0]))
+
+
+def _unrefined_cells(cells: dict, rays, field: FieldSpec) -> dict:
+    """The cells not spanned by the rays and smaller cells inside them."""
+    kept = {}
+    for key, cell in cells.items():
+        rows = [list(r) for r in rays if cell.contains_vector(r)]
+        for other in cells.values():
+            if other.dim < cell.dim and cell.contains_subspace(other):
+                rows += [list(r) for r in other.basis]
+        if rank(rows, field) < cell.dim:
+            kept[key] = cell
+    return kept
 
 
 def upper_vertex_like_basis(
@@ -372,8 +421,12 @@ def upper_vertex_like_basis(
     exhaustive mode scans every ray of the component (finite fields
     only); vertex mode scans only the standard basis and is a
     cross-validation shortcut for unscrambled views; sampled mode finds
-    vertex rays through right-multiplication kernels when the ray count
-    is too large to scan; auto picks exhaustive or sampled by size.
+    the vertex rays by kernel refinement, intersecting the
+    right-multiplication kernels of seeded random y until they are
+    one-dimensional, and gives up with VerificationFailed after
+    `_KERNEL_DRAWS_PER_RAY` draws per ray (finite fields only; used when
+    the ray count is too large to scan); auto picks exhaustive or
+    sampled by size.
     """
     if not 1 <= n <= view.top_level:
         raise LevelMismatch(f"level {n} outside 1..{view.top_level}")
@@ -393,7 +446,7 @@ def _upper_basis(view: AlgebraView, n: int, mode: str) -> UpperBasis:
     d = view.level_dims[n]
     if mode == "sampled":
         if field.is_rational:
-            raise UnsupportedField("kernel sampling needs a finite field")
+            raise UnsupportedField("kernel refinement needs a finite field")
         pairs = _sampled_vertex_rays(view, n)
         return UpperBasis(
             level=n,

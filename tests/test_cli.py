@@ -90,6 +90,15 @@ def test_scramble_reconstruct_pipeline(boolean3_file, tmp_path, capsys):
     assert "CERTIFIED isomorphic" in out
 
 
+def test_boolean5_pipeline_on_the_default_field(tmp_path, capsys):
+    graph_file = str(tmp_path / "b5.json")
+    view_file = str(tmp_path / "view.json")
+    assert main(["build", "boolean", "5", "-o", graph_file]) == 0
+    assert main(["scramble", graph_file, "--seed", "7", "-o", view_file]) == 0
+    assert main(["reconstruct", view_file, "--family", "boolean", "-n", "5"]) == 0
+    assert "CERTIFIED isomorphic" in capsys.readouterr().out
+
+
 def test_reconstruct_from_stdin(boolean3_file, tmp_path, capsys, monkeypatch):
     view_file = str(tmp_path / "view.json")
     assert main(["scramble", boolean3_file, "--seed", "2", "-o", view_file]) == 0

@@ -1,4 +1,6 @@
 import gc
+import random
+import time
 import weakref
 
 import pytest
@@ -14,6 +16,7 @@ from laga import (
     ReconstructionFailed,
     UnsupportedField,
     V,
+    VerificationFailed,
     algebra_view,
     are_isomorphic,
     b_hilbert_table,
@@ -27,6 +30,7 @@ from laga import (
     kappa_kernel,
     kappa_view,
     outdegree_multiset,
+    rank,
     reconstruct_boolean,
     reconstruct_nonnesting,
     reconstruct_subspace,
@@ -37,6 +41,8 @@ from laga import (
     view_from_json_dict,
     view_to_json_dict,
 )
+from laga.linalg import matrix_apply, transpose
+from laga.reconstruct import _KERNEL_DRAWS_PER_RAY
 
 F3 = GF(3)
 
@@ -91,14 +97,36 @@ def test_basis_modes_agree_on_plain_view(boolean3):
 
 
 def test_sampled_mode_agrees(subspace23):
-    view = algebra_view(subspace23, scramble_seed=3)
-    for n in range(2, 4):
-        sampled = upper_vertex_like_basis(view, n, "sampled")
-        exhaustive = upper_vertex_like_basis(view, n, "exhaustive")
-        assert sorted(sampled.ks) == sorted(exhaustive.ks)
-        assert sorted(k.key() for k in sampled.kappas) == sorted(
-            k.key() for k in exhaustive.kappas
-        )
+    # over F_2 every y is constant on some pair of the five coordinates,
+    # so no level-2 kernel of Boolean 5 is one-dimensional: the rays
+    # there come from intersecting kernels
+    cases = (
+        (algebra_view(subspace23, scramble_seed=3), range(2, 4)),
+        (algebra_view(build_boolean(5), GF(2), scramble_seed=3), range(2, 5)),
+    )
+    for view, levels in cases:
+        for n in levels:
+            sampled = upper_vertex_like_basis(view, n, "sampled")
+            exhaustive = upper_vertex_like_basis(view, n, "exhaustive")
+            assert sorted(sampled.ks) == sorted(exhaustive.ks)
+            assert sorted(k.key() for k in sampled.kappas) == sorted(
+                k.key() for k in exhaustive.kappas
+            )
+
+
+def test_sampled_mode_gives_up_on_nested_views(nested_graph):
+    # the wide vertex's kernel lies inside the narrow one's, so no y
+    # separates the wide vertex from the narrow one
+    draws = _KERNEL_DRAWS_PER_RAY * 2
+    for p in (3, 5):
+        view = algebra_view(nested_graph, GF(p))
+        start = time.perf_counter()
+        with pytest.raises(
+            VerificationFailed,
+            match=f"found 1 of 2 vertex rays at level 2 after {draws} kernels",
+        ):
+            upper_vertex_like_basis(view, 2, "sampled")
+        assert time.perf_counter() - start < 1.0
 
 
 def test_nested_graph_greedy_basis(nested_graph):
@@ -155,6 +183,50 @@ def test_boolean4_reconstruction(boolean4):
     view = algebra_view(boolean4, scramble_seed=7)
     result = reconstruct_boolean(view, 4)
     assert are_isomorphic(result, boolean4) is not None
+
+
+def test_boolean5_reconstruction_on_the_default_field():
+    # every level-2 kernel over F_3 is at least two-dimensional here
+    view = algebra_view(build_boolean(5), scramble_seed=8)
+    assert view.field == F3
+    result = reconstruct_boolean(view, 5)
+    assert are_isomorphic(result, build_boolean(5)) is not None
+
+
+def _random_invertible(d, field, rng):
+    while True:
+        m = [[rng.randrange(field.p) for _ in range(d)] for _ in range(d)]
+        if rank(m, field) == d:
+            return m
+
+
+@pytest.mark.parametrize(
+    "graph, recover",
+    [
+        (build_boolean(5), lambda view: reconstruct_boolean(view, 5)),
+        (build_subspace_lattice(3, 3), lambda view: reconstruct_subspace(view, 3, 3)),
+    ],
+    ids=["boolean5", "subspace33"],
+)
+def test_recovery_ignores_the_output_basis(graph, recover):
+    """The degree-2 coordinates of a view line up with the hidden vertex
+    blocks; a random change of them must change no upper basis."""
+    view = algebra_view(graph, scramble_seed=5)
+    rng = random.Random(5)
+    tensors = list(view.tensors)
+    for n in range(2, view.top_level + 1):
+        cols = transpose(_random_invertible(len(view.tensors[n][0][0]), F3, rng))
+        tensors[n] = tuple(
+            tuple(tuple(matrix_apply(cols, cell, F3)) for cell in row)
+            for row in view.tensors[n]
+        )
+    moved = AlgebraView(F3, view.level_dims, tuple(tensors))
+    assert moved.tensors != view.tensors
+    assert are_isomorphic(recover(moved), graph) is not None
+    for n in range(2, view.top_level + 1):
+        assert sorted(k.key() for k in upper_vertex_like_basis(moved, n).kappas) == sorted(
+            k.key() for k in upper_vertex_like_basis(view, n).kappas
+        )
 
 
 def test_subspace_reconstruction(subspace23):
