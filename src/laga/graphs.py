@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
+    BudgetExceeded,
     EdgeLevelMismatch,
     EmptySuccessor,
     MixedLevels,
@@ -20,7 +21,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import GF, _is_prime
-from .linalg import rref
+from .linalg import enumeration_budget, rref
 
 
 class V(NamedTuple):
@@ -476,7 +477,8 @@ def are_isomorphic(
     (out-degree, in-degree) profile and, above level 0, by the image of
     the successor set (already fully mapped).  Passing an `rng` shuffles
     the candidate order, so with g2 == g1 this samples a random
-    automorphism.
+    automorphism.  Every candidate assignment counts as one search node
+    against `LAGA_BUDGET`.
     """
     if g1.levels != g2.levels:
         return None
@@ -522,6 +524,8 @@ def are_isomorphic(
     # depth-first search on an explicit stack of (vertex, its remaining
     # candidates), so no recursive closure keeps the graphs in a cycle
     frames: list = []
+    budget = enumeration_budget()
+    nodes = 0
     while len(mapping) < len(verts):
         # most-constrained vertex first: forced assignments collapse the
         # search on highly symmetric graphs
@@ -536,6 +540,11 @@ def are_isomorphic(
                 used.remove(mapping.pop(v))
             w = next(options, None)
             if w is not None:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(
+                        f"isomorphism search: {nodes} nodes exceed budget {budget}"
+                    )
                 mapping[v] = w
                 used.add(w)
                 break

@@ -22,7 +22,7 @@ DEFAULT_BUDGET = 10**7
 
 
 def enumeration_budget() -> int:
-    """Ray/word enumeration budget; override with LAGA_BUDGET."""
+    """Budget of every enumeration and search; override with LAGA_BUDGET."""
     raw = os.environ.get("LAGA_BUDGET")
     return int(raw) if raw else DEFAULT_BUDGET
 

@@ -3,11 +3,12 @@
 The pipeline sees only an `AlgebraView`: per-level dimensions plus the
 bilinear structure constants of degree-1 times degree-1 multiplication,
 in an opaque (possibly scrambled) coordinate basis.  From that it builds
-upper vertex-like bases by a greedy max-kernel scan, reads off
-out-degree multisets and successor intersections, and reconstructs the
-hidden graph for non-nesting posets, Boolean lattices, and subspace
-lattices.  Every reconstruction is certified against an independently
-built reference with the graph isomorphism checker.
+upper vertex-like bases by kernel refinement (an exhaustive max-kernel
+ray scan is the fallback for nested views), reads off out-degree
+multisets and successor intersections, and reconstructs the hidden graph
+for non-nesting posets, Boolean lattices, and subspace lattices.  Every
+reconstruction is certified against an independently built reference
+with the graph isomorphism checker.
 
 Convention: the view reports level 0 as dimension 0 (the minimal vertex
 generates nothing), so the kernel of left multiplication at level 1 is
@@ -22,7 +23,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balgebra import BElement, component, iso_condition_check, kappa_combinatorial
+from .balgebra import (
+    BElement,
+    component,
+    iso_condition_check,
+    kappa_combinatorial,
+    kappa_of_element,
+)
 from .errors import (
     BudgetExceeded,
     LevelMismatch,
@@ -62,10 +69,6 @@ from .linalg import (
 
 F3 = GF(3)
 
-# above this many rays the default basis search switches from the
-# exhaustive greedy scan to kernel refinement
-_EXHAUSTIVE_RAY_LIMIT = 20000
-
 # draws of y per vertex ray before kernel refinement gives up.  A
 # one-dimensional kernel is taken as a ray the moment it is drawn, so
 # refinement finds every ray no later than a search for such kernels
@@ -73,7 +76,9 @@ _EXHAUSTIVE_RAY_LIMIT = 20000
 # in kappa(v) with probability p^-(codim kappa(v)), which sets the pace:
 # Boolean lattices up to rank 5 over F_2..F_7 and rank 6 over F_3, and
 # subspace lattices (2,3), (3,3) and (2,4), needed at most 50 draws per
-# ray at any level.
+# ray at any level.  Refinement is the default basis search at every
+# size, so the full bound is spent only where it cannot succeed, such as
+# nested views, once per view and level before the exhaustive fallback.
 _KERNEL_DRAWS_PER_RAY = 500
 
 
@@ -135,30 +140,19 @@ def _compose(first: list[list], second: list[list], field: FieldSpec) -> list[li
     return out
 
 
-def _propose_move(g, n, kappas, field, rng, nonzero):
+def _propose_move(d, pairs, fat, field, rng, nonzero):
     """One candidate elementary level-n move: unipotent shear along a
-    kappa containment, a swap inside a kappa-equality class, or a single
-    vertex scaling.  May return None when no candidate exists."""
-    d = g.levels[n]
+    kappa containment (`pairs`), a swap inside a kappa-equality class
+    (`fat`), or a single vertex scaling.  May return None when no
+    candidate exists."""
     eye = identity(d, field)
     kind = rng.randrange(3)
-    verts = g.level_vertices(n)
     if kind == 0:
-        pairs = [
-            (v, w)
-            for v in verts
-            for w in verts
-            if v != w and kappas[w].contains_subspace(kappas[v])
-        ]
         if not pairs:
             return None
         v, w = rng.choice(pairs)
         eye[v.index][w.index] = field(rng.choice(nonzero))
     elif kind == 1:
-        groups: dict = {}
-        for v in verts:
-            groups.setdefault(kappas[v].key(), []).append(v)
-        fat = [vs for vs in groups.values() if len(vs) >= 2]
         if not fat:
             return None
         a, b = rng.sample(rng.choice(fat), 2)
@@ -167,6 +161,33 @@ def _propose_move(g, n, kappas, field, rng, nonzero):
         i = rng.randrange(d)
         eye[i][i] = field(rng.choice(nonzero))
     return eye
+
+
+def _move_preserves_kappas(g, n, move, kappas, field) -> bool:
+    """`iso_condition_check(g, g, {n: move}, field)` for an invertible
+    level-n move, checked only where the move can break it.
+
+    Every other level's map is the identity, so a vertex kappa can move
+    only at level n, where a vertex whose row the move changed must keep
+    its kappa (level 1 is not checked), and at level n+1, where each
+    kappa(v) must map onto itself.  An invertible map keeps dimensions,
+    so onto is the same as into, and a basis row of kappa(v) that is zero
+    on every changed row maps to itself.
+    """
+    eye = identity(g.levels[n], field)
+    changed = [i for i, row in enumerate(move) if row != eye[i]]
+    if n >= 2:
+        for i in changed:
+            image = kappa_of_element(g, BElement(field, n, tuple(move[i])))
+            if image != kappas[V(n, i)]:
+                return False
+    if n < g.top_level:
+        for v in g.level_vertices(n + 1):
+            kv = kappas[v]
+            moved = [x for x in kv.basis if any(x[i] != 0 for i in changed)]
+            if not all(kv.contains_vector(x) for x in _compose(moved, move, field)):
+                return False
+    return True
 
 
 def _scramble_maps(g: LayeredGraph, field: FieldSpec, rng) -> dict[int, list[list]]:
@@ -188,13 +209,23 @@ def _scramble_maps(g: LayeredGraph, field: FieldSpec, rng) -> dict[int, list[lis
     for n in range(1, g.top_level + 1):
         lam = field(rng.choice(nonzero))
         maps[n] = [field.scale(row, lam) for row in maps[n]]
-        if g.levels[n] < 2:
+        d = g.levels[n]
+        if d < 2:
             continue
-        for _ in range(3 * g.levels[n]):
-            move = _propose_move(g, n, kappas, field, rng, nonzero)
-            if move is None:
-                continue
-            if iso_condition_check(g, g, {n: move}, field):
+        verts = g.level_vertices(n)
+        pairs = [
+            (v, w)
+            for v in verts
+            for w in verts
+            if v != w and kappas[w].contains_subspace(kappas[v])
+        ]
+        groups: dict = {}
+        for v in verts:
+            groups.setdefault(kappas[v].key(), []).append(v)
+        fat = [vs for vs in groups.values() if len(vs) >= 2]
+        for _ in range(3 * d):
+            move = _propose_move(d, pairs, fat, field, rng, nonzero)
+            if move is not None and _move_preserves_kappas(g, n, move, kappas, field):
                 maps[n] = _compose(maps[n], move, field)
     assert iso_condition_check(g, g, maps, field)
     return maps
@@ -333,7 +364,7 @@ def _right_mult_kernel(view: AlgebraView, n: int, y) -> Subspace:
 
 
 def _sampled_vertex_rays(view: AlgebraView, n: int):
-    """Vertex rays by kernel refinement, for components too large to scan.
+    """Vertex rays by kernel refinement, the default upper-basis search.
 
     The degree-2 relation space splits as a direct sum over left
     factors, so for any y one level down, R(y) = {a : a * y = 0} is the
@@ -350,8 +381,9 @@ def _sampled_vertex_rays(view: AlgebraView, n: int):
     cell of a vertex v shrinks to its ray once the y drawn inside
     kappa(v) span kappa(v).  A view that cannot be refined (nested
     kernels, or tensors of no uniform graph) stops after
-    `_KERNEL_DRAWS_PER_RAY` draws per ray of the level.  The final
-    isomorphism certificate backstops correctness either way.
+    `_KERNEL_DRAWS_PER_RAY` draws per ray of the level, and the auto
+    basis falls back to the exhaustive scan.  The final isomorphism
+    certificate backstops correctness either way.
     """
     import random
 
@@ -365,10 +397,16 @@ def _sampled_vertex_rays(view: AlgebraView, n: int):
     found: dict[tuple, Subspace] = {}
     cells: dict[tuple, Subspace] = {}
     drawn: set = set()
+    seen: set = set()
     draws = 0
     while len(found) < d and draws < _KERNEL_DRAWS_PER_RAY * d:
         draws += 1
         y = tuple(field(rng.randrange(field.p)) for _ in range(d_prev))
+        # a y drawn before gives a kernel that changes nothing; on small
+        # levels most draws repeat one
+        if y in seen:
+            continue
+        seen.add(y)
         ker = _right_mult_kernel(view, n, y)
         if ker.dim == 1:
             pieces = [ker]
@@ -391,7 +429,7 @@ def _sampled_vertex_rays(view: AlgebraView, n: int):
     if len(found) < d:
         raise VerificationFailed(
             f"kernel refinement found {len(found)} of {d} vertex rays at level {n} "
-            f"after {draws} kernels"
+            f"after {draws} draws"
         )
     if rank([list(r) for r in found], field) != d:
         raise VerificationFailed(f"sampled rays at level {n} are dependent")
@@ -414,29 +452,25 @@ def _unrefined_cells(cells: dict, rays, field: FieldSpec) -> dict:
 def upper_vertex_like_basis(
     view: AlgebraView, n: int, mode: str = "auto"
 ) -> UpperBasis:
-    """Greedy basis: repeatedly take, among candidates outside the span
-    of those already chosen, one maximizing the kernel dimension of left
-    multiplication; ties break by candidate enumeration (lex) order.
+    """A basis of the level-n component whose vectors maximize, greedily,
+    the kernel dimension of left multiplication.
 
-    exhaustive mode scans every ray of the component (finite fields
-    only); vertex mode scans only the standard basis and is a
-    cross-validation shortcut for unscrambled views; sampled mode finds
-    the vertex rays by kernel refinement, intersecting the
-    right-multiplication kernels of seeded random y until they are
+    sampled mode finds the vertex rays by kernel refinement, intersecting
+    the right-multiplication kernels of seeded random y until they are
     one-dimensional, and gives up with VerificationFailed after
-    `_KERNEL_DRAWS_PER_RAY` draws per ray (finite fields only; used when
-    the ray count is too large to scan); auto picks exhaustive or
-    sampled by size.
+    `_KERNEL_DRAWS_PER_RAY` draws per ray (finite fields only).
+    exhaustive mode scans every ray of the component (finite fields
+    only, bounded by `LAGA_BUDGET`) and takes, among candidates outside
+    the span of those already chosen, one of largest kernel; ties break
+    by lex order.  vertex mode scans only the standard basis and is a
+    cross-validation shortcut for unscrambled views.  auto, the default,
+    is refinement, falling back to the exhaustive scan only where
+    refinement gives up, as on nested views; it is resolved once per
+    view and level.  On an unscrambled view every mode must reproduce
+    the kernel multiset of the vertex basis.
     """
     if not 1 <= n <= view.top_level:
         raise LevelMismatch(f"level {n} outside 1..{view.top_level}")
-    field = view.field
-    d = view.level_dims[n]
-    if mode == "auto":
-        if field.is_rational or field.p**d > _EXHAUSTIVE_RAY_LIMIT:
-            mode = "sampled"
-        else:
-            mode = "exhaustive"
     return _upper_basis(view, n, mode)
 
 
@@ -444,26 +478,47 @@ def upper_vertex_like_basis(
 def _upper_basis(view: AlgebraView, n: int, mode: str) -> UpperBasis:
     field = view.field
     d = view.level_dims[n]
-    if mode == "sampled":
+    if mode in ("auto", "sampled"):
         if field.is_rational:
             raise UnsupportedField("kernel refinement needs a finite field")
-        pairs = _sampled_vertex_rays(view, n)
-        return UpperBasis(
-            level=n,
-            vectors=tuple(x for x, _ in pairs),
-            kappas=tuple(kap for _, kap in pairs),
-            ks=tuple(kap.dim for _, kap in pairs),
+        try:
+            chosen = _sampled_vertex_rays(view, n)
+        except VerificationFailed:
+            if mode == "sampled":
+                raise
+            return _upper_basis(view, n, "exhaustive")
+    elif mode in ("vertex", "exhaustive"):
+        chosen = _greedy_scan(view, n, mode)
+    else:
+        raise ValueError(f"unknown mode: {mode}")
+    if view.plain:
+        vertex_forms = sorted(
+            kappa_view(view, n, _unit(field, d, i)).key() for i in range(d)
         )
+        basis_forms = sorted(kap.key() for _, kap in chosen)
+        if vertex_forms != basis_forms:
+            raise VerificationFailed("kernel multiset does not match the vertex basis")
+    return UpperBasis(
+        level=n,
+        vectors=tuple(x for x, _ in chosen),
+        kappas=tuple(kap for _, kap in chosen),
+        ks=tuple(kap.dim for _, kap in chosen),
+    )
+
+
+def _greedy_scan(view: AlgebraView, n: int, mode: str) -> list:
+    """(vector, kernel) pairs chosen greedily by kernel dimension from the
+    standard basis (vertex mode) or from every ray (exhaustive mode)."""
+    field = view.field
+    d = view.level_dims[n]
     if mode == "vertex":
         if not view.plain:
             raise VerificationFailed("vertex mode needs an unscrambled view")
         candidates = [_unit(field, d, i) for i in range(d)]
-    elif mode == "exhaustive":
+    else:
         if field.is_rational:
             raise UnsupportedField("exhaustive ray scan needs a finite field")
         candidates = list(enumerate_rays(field, d))
-    else:
-        raise ValueError(f"unknown mode: {mode}")
     scored = []
     for pos, x in enumerate(candidates):
         kap = kappa_view(view, n, x)
@@ -483,19 +538,7 @@ def _upper_basis(view: AlgebraView, n: int, mode: str) -> UpperBasis:
         raise VerificationFailed(f"candidates span only {len(chosen)} of {d} dimensions")
     if mode == "exhaustive":
         _fi_chain_check(view, n, scored, chosen)
-    if view.plain:
-        vertex_forms = sorted(
-            kappa_view(view, n, _unit(field, d, i)).key() for i in range(d)
-        )
-        basis_forms = sorted(kap.key() for _, kap in chosen)
-        if vertex_forms != basis_forms:
-            raise VerificationFailed("kernel multiset does not match the vertex basis")
-    return UpperBasis(
-        level=n,
-        vectors=tuple(x for x, _ in chosen),
-        kappas=tuple(kap for _, kap in chosen),
-        ks=tuple(kap.dim for _, kap in chosen),
-    )
+    return chosen
 
 
 def outdegree_multiset(view: AlgebraView, n: int) -> list[int]:

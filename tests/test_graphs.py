@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laga import (
+    BudgetExceeded,
     EdgeLevelMismatch,
     EmptySuccessor,
     MixedLevels,
@@ -197,6 +198,15 @@ def test_isomorphism_respects_edges_randomized():
     mapping = are_isomorphic(g, g, rng=random.Random(9))
     assert mapping is not None
     assert {(mapping[t], mapping[h]) for t, h in g.edges} == set(g.edges)
+
+
+def test_isomorphism_search_respects_budget(boolean4, monkeypatch):
+    # Boolean 4 maps without backtracking: one node per vertex
+    monkeypatch.setenv("LAGA_BUDGET", "15")
+    with pytest.raises(BudgetExceeded, match="isomorphism search: 16 nodes exceed budget 15"):
+        are_isomorphic(boolean4, boolean4)
+    monkeypatch.setenv("LAGA_BUDGET", "16")
+    assert are_isomorphic(boolean4, boolean4) is not None
 
 
 def test_non_isomorphic_pair(retarget_pair):

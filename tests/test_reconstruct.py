@@ -1,12 +1,16 @@
 import gc
+import hashlib
+import json
 import random
 import time
 import weakref
 
 import pytest
 
+import laga.reconstruct
 from laga import (
     GF,
+    QQ,
     AlgebraView,
     BElement,
     BudgetExceeded,
@@ -26,6 +30,7 @@ from laga import (
     gr_hilbert_table,
     intersection_size,
     is_quadratic_to_degree,
+    iso_condition_check,
     kappa_combinatorial,
     kappa_kernel,
     kappa_view,
@@ -42,7 +47,7 @@ from laga import (
     view_to_json_dict,
 )
 from laga.linalg import matrix_apply, transpose
-from laga.reconstruct import _KERNEL_DRAWS_PER_RAY
+from laga.reconstruct import _KERNEL_DRAWS_PER_RAY, _move_preserves_kappas
 
 F3 = GF(3)
 
@@ -67,6 +72,62 @@ def test_plain_view_shape(boolean3):
     t = scrambled.tensors[2]
     expected = tuple((a + 2 * b) % 3 for a, b in zip(t[0][1], t[1][1]))
     assert scrambled.multiply(2, (1, 2, 0), (0, 1, 0)) == expected
+
+
+# sha256 of the JSON of algebra_view(graph, field, scramble_seed=seed),
+# recorded with every scramble move certified by the whole-graph
+# iso_condition_check: the local move check must give the same views
+_VIEW_DIGESTS = [
+    (("boolean", 4), 3, 7, "f1d87b6699f95300"),
+    (("boolean", 4), 5, 2, "7b50531fdec0bd64"),
+    (("boolean", 5), 2, 3, "9a36d37e84bd70bf"),
+    (("subspace", 2, 3), 3, 1, "02465ae0c9fee517"),
+    (("subspace", 2, 3), 2, 4, "6705efdd4640bb3a"),
+    (("subspace", 3, 3), 3, 5, "e3f3e7d8f4c86bbc"),
+    (("boolean", 3), None, 1, "b2ad9b95d21f68ce"),
+]
+
+
+def _lattice(spec):
+    family, *params = spec
+    return build_boolean(*params) if family == "boolean" else build_subspace_lattice(*params)
+
+
+@pytest.mark.parametrize("spec, p, seed, digest", _VIEW_DIGESTS)
+def test_scrambled_views_are_pinned(spec, p, seed, digest):
+    view = algebra_view(_lattice(spec), GF(p) if p else QQ, scramble_seed=seed)
+    text = json.dumps(view_to_json_dict(view), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [
+        (("boolean", 3), None),
+        (("boolean", 4), 2),
+        (("boolean", 4), 3),
+        (("boolean", 4), 5),
+        (("boolean", 5), 3),
+        (("subspace", 2, 3), 2),
+        (("subspace", 2, 3), 3),
+    ],
+)
+def test_local_move_check_is_the_whole_graph_check(spec, p, monkeypatch):
+    g = _lattice(spec)
+    field = GF(p) if p else QQ
+    verdicts = []
+
+    def recording(g, n, move, kappas, field):
+        local = _move_preserves_kappas(g, n, move, kappas, field)
+        assert local == iso_condition_check(g, g, {n: move}, field), (n, move)
+        verdicts.append(local)
+        return local
+
+    monkeypatch.setattr(laga.reconstruct, "_move_preserves_kappas", recording)
+    for seed in (1, 2, 3):
+        algebra_view(g, field, scramble_seed=seed)
+    # both verdicts occur, so neither side of the check is vacuous
+    assert set(verdicts) == {True, False}
 
 
 def test_kappa_view_matches_combinatorial_on_plain(boolean3):
@@ -123,10 +184,53 @@ def test_sampled_mode_gives_up_on_nested_views(nested_graph):
         start = time.perf_counter()
         with pytest.raises(
             VerificationFailed,
-            match=f"found 1 of 2 vertex rays at level 2 after {draws} kernels",
+            match=f"found 1 of 2 vertex rays at level 2 after {draws} draws",
         ):
             upper_vertex_like_basis(view, 2, "sampled")
         assert time.perf_counter() - start < 1.0
+
+
+def test_auto_falls_back_to_the_scan_once_on_nested_views(nested_graph, monkeypatch):
+    calls = []
+    refine = laga.reconstruct._sampled_vertex_rays
+
+    def counting(view, n):
+        calls.append(n)
+        return refine(view, n)
+
+    monkeypatch.setattr(laga.reconstruct, "_sampled_vertex_rays", counting)
+    for p in (3, 5):
+        calls.clear()
+        view = algebra_view(nested_graph, GF(p))
+        first = upper_vertex_like_basis(view, 2)
+        assert upper_vertex_like_basis(view, 2) == first
+        assert calls == [2]
+        oracle = upper_vertex_like_basis(algebra_view(nested_graph, GF(p)), 2, "exhaustive")
+        assert first == oracle
+
+
+def test_plain_view_check_runs_after_refinement(boolean3, monkeypatch):
+    def wrong_rays(view, n):
+        rays = [(1, 1, 0), (0, 1, 0), (0, 0, 1)]
+        return [(x, kappa_view(view, n, x)) for x in rays]
+
+    monkeypatch.setattr(laga.reconstruct, "_sampled_vertex_rays", wrong_rays)
+    for mode in ("sampled", "auto"):
+        with pytest.raises(
+            VerificationFailed, match="kernel multiset does not match the vertex basis"
+        ):
+            upper_vertex_like_basis(algebra_view(boolean3), 2, mode)
+
+
+def test_subspace33_over_f2_recovers_without_the_scan(monkeypatch):
+    # 2^13 rays at level 2: the old default scanned them all
+    def no_scan(*args, **kwargs):
+        raise AssertionError("exhaustive ray scan")
+
+    monkeypatch.setattr(laga.reconstruct, "enumerate_rays", no_scan)
+    g = build_subspace_lattice(3, 3)
+    view = algebra_view(g, GF(2), scramble_seed=1)
+    assert are_isomorphic(reconstruct_subspace(view, 3, 3), g) is not None
 
 
 def test_nested_graph_greedy_basis(nested_graph):
@@ -144,7 +248,7 @@ def test_outdegree_multisets(boolean3, nested_graph):
     assert outdegree_multiset(view, 2) == [2, 2, 2]
     assert outdegree_multiset(view, 3) == [3]
     assert outdegree_multiset(algebra_view(nested_graph), 2) == [2, 3]
-    # the auto basis samples here instead of scanning all 5^10 rays
+    # kernel refinement, not a scan of all 5^10 rays
     view = algebra_view(build_boolean(5), GF(5), scramble_seed=1)
     assert outdegree_multiset(view, 2) == [2] * 10
 
