@@ -11,6 +11,7 @@ from .balgebra import (
     b_dimension,
     b_hilbert_table,
     component,
+    degree2_product,
     element,
     gr_quadratic_space,
     iso_condition_check,

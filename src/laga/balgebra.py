@@ -1,10 +1,13 @@
 """The bigraded quotient algebra on positive-level vertices.
 
-Degree-2 relations kill products along non-edges and successor sums;
-every computation here is per-bidegree exact linear algebra.  The kappa
+Degree-2 relations kill products along non-edges and successor sums.
+`component` computes any bidegree by exact linear algebra, which gives
+the Hilbert tables.  Degree-1 times degree-1 products, the structure
+constants, come in closed form from `degree2_product`, one block per
+left vertex; the generic component is its test oracle.  The kappa
 subspace of an element (kernel of left multiplication) has a purely
 combinatorial description via class sums, which is the primary path;
-the kernel computation serves as an independent oracle.
+the kernel of the structure constants serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import LayeredGraph, V, class_partition, is_uniform, memo
+from .graphs import LayeredGraph, V, class_partition, is_uniform
 from .gralgebra import HilbertTable
 from .linalg import (
     Subspace,
     enumeration_budget,
     full_space,
     identity,
-    kernel,
+    left_kernel,
     matrix_apply,
     rank,
     reduce_vector,
@@ -252,17 +255,22 @@ def kappa_of_element(g: LayeredGraph, a: BElement) -> Subspace:
     return kappa_combinatorial(g, a.support(), field=a.field)
 
 
-@memo
-def _projected_word_images(g: LayeredGraph, n: int, field: FieldSpec):
-    """Quotient coordinates of every length-2 word v*w with v at level n,
-    computed once per graph so kernels of many elements stay cheap."""
-    comp = component(g, 2, 2 * n - 1, field)
-    images = {}
-    for pos, word in enumerate(comp.basis_words):
-        vec = [field.zero] * len(comp.basis_words)
-        vec[pos] = field.one
-        images[word] = comp.project(vec)
-    return images
+def degree2_product(g: LayeredGraph, n: int, x, y, field: FieldSpec = QQ) -> tuple:
+    """Product of a level-n vector x and a level-(n-1) vector y, in the
+    free columns of `component(g, 2, 2n-1)`.
+
+    The relation space splits into one block per left vertex v: every
+    non-successor column and the first successor s0 (successors are
+    sorted) are pivots, so v contributes x_v * (y_s - y_s0) for each
+    further successor s, and nothing when it has at most one."""
+    x = field.vector(x)
+    y = field.vector(y)
+    out = []
+    for v in g.level_vertices(n):
+        succ = g.succ(v)
+        a = x[v.index]
+        out += [field(a * (y[s.index] - y[succ[0].index])) for s in succ[1:]]
+    return tuple(out)
 
 
 def kappa_kernel(g: LayeredGraph, a: BElement, field: FieldSpec | None = None) -> Subspace:
@@ -276,31 +284,12 @@ def kappa_kernel(g: LayeredGraph, a: BElement, field: FieldSpec | None = None) -
     n = a.level
     if n < 1:
         raise MixedLevels("kappa needs a positive level")
+    width = g.levels[n - 1]
     if n == 1:
         # products with the minimal level all vanish
-        return full_space(g.levels[0], field)
-    images = _projected_word_images(g, n, field)
-    width = g.levels[n - 1]
-    support = [
-        (v, field(a.coords[v.index]))
-        for v in g.level_vertices(n)
-        if a.coords[v.index] != 0
-    ]
-    rows = []
-    for w in g.level_vertices(n - 1):
-        acc = None
-        for v, c in support:
-            img = images[(v, w)]
-            if acc is None:
-                acc = field.scale(img, c)
-            else:
-                acc = field.axpy(acc, -c, img)
-        rows.append(acc if acc is not None else [])
-    free_dim = max((len(r) for r in rows), default=0)
-    if free_dim == 0:
         return full_space(width, field)
-    rows = [r if r else [field.zero] * free_dim for r in rows]
-    return kernel(transpose(rows), width, field)
+    units = identity(width, field)
+    return left_kernel([degree2_product(g, n, a.coords, y, field) for y in units], field)
 
 
 def k_stats(g: LayeredGraph, vertex_set, *, level: int | None = None):

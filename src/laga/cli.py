@@ -167,7 +167,7 @@ def _cmd_scramble(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     data = _read_json(args.view)
-    envelope = data if "view" in data else {"view": data}
+    envelope = data if isinstance(data, dict) and "view" in data else {"view": data}
     view = view_from_json_dict(envelope["view"])
     reference = (
         from_json_dict(envelope["source"]) if "source" in envelope else None

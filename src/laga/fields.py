@@ -45,7 +45,7 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.p is not None:
-            if not _is_prime(self.p) or self.p > _MAX_PRIME:
+            if not isinstance(self.p, int) or not _is_prime(self.p) or self.p > _MAX_PRIME:
                 raise UnsupportedField(f"not a supported prime: {self.p}")
 
     @property

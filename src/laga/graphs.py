@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     BudgetExceeded,
+    DimensionMismatch,
     EdgeLevelMismatch,
     EmptySuccessor,
     MixedLevels,
@@ -585,7 +586,27 @@ def to_json_dict(g: LayeredGraph) -> dict:
     }
 
 
+def _is_int_list(raw, length: int | None = None) -> bool:
+    return (
+        isinstance(raw, list)
+        and length in (None, len(raw))
+        and all(type(x) is int for x in raw)
+    )
+
+
 def from_json_dict(data: dict) -> LayeredGraph:
+    if not (
+        isinstance(data, dict)
+        and _is_int_list(data.get("levels"))
+        and isinstance(data.get("edges"), list)
+        and isinstance(data.get("flags", {}), dict)
+        and isinstance(data.get("labels", {}), dict)
+    ):
+        raise DimensionMismatch("a graph is an object of int levels, edges, flags, labels")
+    for edge in data["edges"]:
+        pair = isinstance(edge, list) and len(edge) == 2
+        if not (pair and _is_int_list(edge[0], 2) and _is_int_list(edge[1], 2)):
+            raise EdgeLevelMismatch(f"edge {edge!r} is not a pair of [level, index] pairs")
     flags = data.get("flags", {})
     labels = {}
     for key, s in data.get("labels", {}).items():

@@ -120,7 +120,8 @@ def span(vectors: Sequence[Sequence], ambient_dim: int, field: FieldSpec) -> Sub
 
 def identity(d: int, field: FieldSpec) -> list[list]:
     """The d x d identity matrix as a list of fresh rows."""
-    return [[field.one if i == j else field.zero for j in range(d)] for i in range(d)]
+    one, zero = field.one, field.zero
+    return [[one if i == j else zero for j in range(d)] for i in range(d)]
 
 
 def full_space(ambient_dim: int, field: FieldSpec) -> Subspace:

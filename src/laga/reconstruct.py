@@ -25,13 +25,14 @@ from fractions import Fraction
 
 from .balgebra import (
     BElement,
-    component,
+    degree2_product,
     iso_condition_check,
     kappa_combinatorial,
     kappa_of_element,
 )
 from .errors import (
     BudgetExceeded,
+    DimensionMismatch,
     LevelMismatch,
     NonNestingViolated,
     NotUniform,
@@ -43,6 +44,7 @@ from .fields import GF, FieldSpec
 from .graphs import (
     LayeredGraph,
     V,
+    _is_int_list,
     are_isomorphic,
     build_boolean,
     build_graph,
@@ -55,7 +57,6 @@ from .linalg import (
     Subspace,
     enumerate_rays,
     enumeration_budget,
-    full_space,
     identity,
     kernel,
     left_kernel,
@@ -63,8 +64,6 @@ from .linalg import (
     reduce_vector,
     rref,
     span,
-    transpose,
-    zero_space,
 )
 
 F3 = GF(3)
@@ -108,20 +107,18 @@ class AlgebraView:
 
     def multiply(self, n: int, x, y) -> tuple:
         """Bilinear product of a level-n vector and a level-(n-1) vector."""
-        if n < 2 or n > self.top_level or self.tensors[n] is None:
+        if n < 2 or n > self.top_level:
             return ()
         field = self.field
         t = self.tensors[n]
         width = len(t[0][0]) if t and t[0] else 0
         acc = [field.zero] * width
-        y = field.vector(y)
+        # the kernels multiply by unit vectors, so loop over nonzeros only
+        y_support = [(j, b) for j, b in enumerate(field.vector(y)) if b != 0]
         for i, a in enumerate(field.vector(x)):
-            if a == 0:
-                continue
-            for j, b in enumerate(y):
-                if b == 0:
-                    continue
-                acc = field.axpy(acc, -(a * b), t[i][j])
+            if a != 0:
+                for j, b in y_support:
+                    acc = field.axpy(acc, -(a * b), t[i][j])
         return tuple(acc)
 
 
@@ -247,23 +244,12 @@ def algebra_view(
         maps = _scramble_maps(g, field, random.Random(scramble_seed))
     tensors: list = [None, None]
     for n in range(2, g.top_level + 1):
-        comp = component(g, 2, 2 * n - 1, field)
-        index = {w: i for i, w in enumerate(comp.basis_words)}
-        level_tensor = []
-        for i in range(g.levels[n]):
-            row = []
-            for j in range(g.levels[n - 1]):
-                vec = [field.zero] * len(comp.basis_words)
-                for vi, a in enumerate(maps[n][i]):
-                    if a == 0:
-                        continue
-                    for wi, b in enumerate(maps[n - 1][j]):
-                        if b == 0:
-                            continue
-                        vec[index[(V(n, vi), V(n - 1, wi))]] = field(a * b)
-                row.append(comp.project(vec))
-            level_tensor.append(tuple(row))
-        tensors.append(tuple(level_tensor))
+        tensors.append(
+            tuple(
+                tuple(degree2_product(g, n, x, y, field) for y in maps[n - 1])
+                for x in maps[n]
+            )
+        )
     return AlgebraView(
         field=field,
         level_dims=(0,) + g.levels[1:],
@@ -274,25 +260,8 @@ def algebra_view(
 
 @memo
 def _left_mult_kernel(view: AlgebraView, n: int, coords: tuple) -> Subspace:
-    field = view.field
-    d_prev = view.level_dims[n - 1]
-    if n == 1:
-        return zero_space(0, field)
-    t = view.tensors[n]
-    rows = []
-    for j in range(d_prev):
-        width = len(t[0][j]) if t else 0
-        acc = [field.zero] * width
-        for i, a in enumerate(coords):
-            if a == 0:
-                continue
-            acc = field.axpy(acc, -a, t[i][j])
-        rows.append(acc)
-    if not rows:
-        return zero_space(0, field)
-    if not rows[0]:
-        return full_space(d_prev, field)
-    return kernel(transpose(rows), d_prev, field)
+    units = identity(view.level_dims[n - 1], view.field)
+    return left_kernel([view.multiply(n, coords, y) for y in units], view.field)
 
 
 def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
@@ -315,10 +284,6 @@ class UpperBasis:
     vectors: tuple
     kappas: tuple
     ks: tuple
-
-
-def _unit(field: FieldSpec, d: int, i: int) -> tuple:
-    return tuple(field.one if j == i else field.zero for j in range(d))
 
 
 def _fi_chain_check(view: AlgebraView, n: int, scored, chosen) -> None:
@@ -346,21 +311,8 @@ def _fi_chain_check(view: AlgebraView, n: int, scored, chosen) -> None:
 
 def _right_mult_kernel(view: AlgebraView, n: int, y) -> Subspace:
     """{a in the level-n component : a * y = 0} for y one level down."""
-    field = view.field
-    d = view.level_dims[n]
-    t = view.tensors[n]
-    width = len(t[0][0]) if t and t[0] else 0
-    rows = []
-    for i in range(d):
-        acc = [field.zero] * width
-        for j, b in enumerate(y):
-            if b == 0:
-                continue
-            acc = field.axpy(acc, -b, t[i][j])
-        rows.append(acc)
-    if width == 0:
-        return full_space(d, field)
-    return left_kernel(rows, field)
+    units = identity(view.level_dims[n], view.field)
+    return left_kernel([view.multiply(n, x, y) for x in units], view.field)
 
 
 def _sampled_vertex_rays(view: AlgebraView, n: int):
@@ -493,7 +445,7 @@ def _upper_basis(view: AlgebraView, n: int, mode: str) -> UpperBasis:
         raise ValueError(f"unknown mode: {mode}")
     if view.plain:
         vertex_forms = sorted(
-            kappa_view(view, n, _unit(field, d, i)).key() for i in range(d)
+            kappa_view(view, n, unit).key() for unit in identity(d, field)
         )
         basis_forms = sorted(kap.key() for _, kap in chosen)
         if vertex_forms != basis_forms:
@@ -514,7 +466,7 @@ def _greedy_scan(view: AlgebraView, n: int, mode: str) -> list:
     if mode == "vertex":
         if not view.plain:
             raise VerificationFailed("vertex mode needs an unscrambled view")
-        candidates = [_unit(field, d, i) for i in range(d)]
+        candidates = [tuple(unit) for unit in identity(d, field)]
     else:
         if field.is_rational:
             raise UnsupportedField("exhaustive ray scan needs a finite field")
@@ -690,7 +642,9 @@ def _assemble_and_certify(
 
 
 def reconstruct_boolean(view: AlgebraView, n: int) -> LayeredGraph:
-    """Full recovery of the rank-n Boolean lattice, certified."""
+    """Full recovery of the rank-n Boolean lattice (n >= 3), certified."""
+    if n < 3:
+        raise ReconstructionFailed("Boolean recovery needs rank n >= 3")
     expected = tuple(math.comb(n, i) for i in range(1, n + 1))
     if view.level_dims[1:] != expected:
         raise ReconstructionFailed(
@@ -732,6 +686,8 @@ def _scalar_to_json(x):
 
 
 def _scalar_from_json(field: FieldSpec, raw):
+    if type(raw) not in (int, str):
+        raise DimensionMismatch(f"view entry {raw!r} is neither an int nor a string")
     if field.is_rational:
         return Fraction(raw)
     return field(int(raw))
@@ -752,14 +708,41 @@ def view_to_json_dict(view: AlgebraView) -> dict:
     }
 
 
+def _is_tensor(rows, d: int, d_prev: int) -> bool:
+    """Whether rows is d lists of d_prev cells, each a list, all of one width."""
+    if not (isinstance(rows, list) and len(rows) == d):
+        return False
+    if not all(isinstance(row, list) and len(row) == d_prev for row in rows):
+        return False
+    cells = [cell for row in rows for cell in row]
+    return all(isinstance(c, list) for c in cells) and len({len(c) for c in cells}) <= 1
+
+
 def view_from_json_dict(data: dict) -> AlgebraView:
+    """The view a `view_to_json_dict` dict describes; a dict of another
+    shape raises DimensionMismatch."""
+    if not isinstance(data, dict):
+        raise DimensionMismatch("a view is a JSON object")
     field = FieldSpec(data["field"])
-    dims = tuple(int(x) for x in data["level_dims"])
-    tensors: list = [None] * len(dims)
-    for key, level_tensor in data["tensors"].items():
-        tensors[int(key)] = tuple(
-            tuple(tuple(_scalar_from_json(field, c) for c in cell) for cell in row)
-            for row in level_tensor
+    if not _is_int_list(data["level_dims"]):
+        raise DimensionMismatch(f"view level_dims {data['level_dims']!r} are not ints")
+    dims = tuple(data["level_dims"])
+    raw = data["tensors"]
+    levels = [str(n) for n in range(2, len(dims))]
+    if not isinstance(raw, dict) or set(raw) != set(levels):
+        raise DimensionMismatch(f"view tensors at levels {list(raw)}, expected {levels}")
+    tensors: list = [None, None]
+    for n in range(2, len(dims)):
+        rows = raw[str(n)]
+        if not _is_tensor(rows, dims[n], dims[n - 1]):
+            raise DimensionMismatch(
+                f"level {n} tensor is not {dims[n]} x {dims[n - 1]} cells of one width"
+            )
+        tensors.append(
+            tuple(
+                tuple(tuple(_scalar_from_json(field, c) for c in cell) for cell in row)
+                for row in rows
+            )
         )
     return AlgebraView(
         field=field,

@@ -18,7 +18,10 @@ from laga import (
     V,
     b_dimension,
     b_hilbert_table,
+    build_graph,
     class_partition,
+    component,
+    degree2_product,
     element,
     full_space,
     gr_quadratic_space,
@@ -29,6 +32,7 @@ from laga import (
     kappa_of_element,
     kappa_profile,
     quadratic_dual_check,
+    random_layered_graph,
     random_uniform_graph,
     relation_space,
     vertex_element,
@@ -106,6 +110,37 @@ def test_kappa_vertex_matches_class_sums(boolean3):
     assert kappa.contains_vector([QQ(1), QQ(1), QQ(0)])
     assert kappa.contains_vector([QQ(0), QQ(0), QQ(1)])
     assert not kappa.contains_vector([QQ(1), QQ(0), QQ(0)])
+
+
+def _assert_closed_form(g, field):
+    for n in range(2, g.top_level + 1):
+        comp = component(g, 2, 2 * n - 1, field)
+        for pos, (v, w) in enumerate(comp.basis_words):
+            word = [field.zero] * len(comp.basis_words)
+            word[pos] = field.one
+            x = vertex_element(g, v, field).coords
+            y = vertex_element(g, w, field).coords
+            assert degree2_product(g, n, x, y, field) == comp.project(word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([QQ, F2, F3, GF(5)]))
+def test_degree2_product_is_the_projected_word(seed, field):
+    """The closed form agrees with the generic component's projection of
+    every word v*w, on graphs that need not be uniform, where some
+    vertices keep one successor and some lose all of theirs."""
+    rng = random.Random(seed)
+    g = random_layered_graph(rng, max_levels=5, max_width=4)
+    bare = {v for v in g.positive_vertices() if rng.random() < 0.25}
+    _assert_closed_form(
+        build_graph(g.levels, [(t, h) for t, h in g.edges if t not in bare]), field
+    )
+
+
+def test_degree2_product_on_nonuniform_and_nested_graphs(nonuniform_graph, nested_graph):
+    for g in (nonuniform_graph, nested_graph):
+        for field in (QQ, F2, F3, GF(5)):
+            _assert_closed_form(g, field)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,9 +1,10 @@
+import copy
 import io
 import json
 
 import pytest
 
-from laga import to_json
+from laga import algebra_view, build_boolean, to_json, to_json_dict, view_to_json_dict
 from laga.cli import main
 
 
@@ -154,4 +155,70 @@ def test_computation_errors_exit_three(boolean3_file, tmp_path, capsys):
     view_file = str(tmp_path / "view.json")
     assert main(["scramble", boolean3_file, "--seed", "1", "-o", view_file]) == 0
     assert main(["reconstruct", view_file, "--family", "boolean", "-n", "4"]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def _edited(data, path, value=None):
+    """A copy of data with the entry at path replaced by value, or
+    deleted when value is None; the empty path replaces everything."""
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    if value is None:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        ("view", ("tensors", "9"), []),
+        ("view", ("tensors", "3"), None),
+        ("view", ("tensors", "2", 0, 2), None),
+        ("view", ("tensors", "2", 0, 0, 0), None),
+        ("view", ("tensors",), []),
+        ("view", ("field",), "x"),
+        ("view", ("level_dims",), 5),
+        ("view", ("tensors", "2", 0, 0, 0), [1]),
+        ("view", (), [1, 2]),
+        ("graph", ("edges", 0), [[1], [0, 0]]),
+        ("graph", ("edges", 0), [[1, "a"], [0, 0]]),
+        ("graph", ("levels",), 5),
+        ("graph", ("flags",), []),
+        ("graph", ("labels",), []),
+        ("graph", (), [1, 2]),
+    ],
+    ids=[
+        "view-level-out-of-range",
+        "view-level-missing",
+        "view-ragged-rows",
+        "view-ragged-cell",
+        "view-tensors-list",
+        "view-field-not-prime",
+        "view-level-dims-not-a-list",
+        "view-entry-not-a-scalar",
+        "view-not-an-object",
+        "graph-short-endpoint",
+        "graph-string-index",
+        "graph-levels-not-a-list",
+        "graph-flags-not-an-object",
+        "graph-labels-not-an-object",
+        "graph-not-an-object",
+    ],
+)
+def test_malformed_json_exits_three(kind, path, value, tmp_path, capsys):
+    g = build_boolean(3)
+    if kind == "view":
+        data = view_to_json_dict(algebra_view(g, scramble_seed=1))
+        verb = ["reconstruct", "--family", "boolean", "-n", "3"]
+    else:
+        data = to_json_dict(g)
+        verb = ["info"]
+    bad = _graph_file(tmp_path, "bad.json", json.dumps(_edited(data, path, value)))
+    assert main(verb[:1] + [bad] + verb[1:]) == 3
     assert "error:" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from laga import (
     AlgebraView,
     BElement,
     BudgetExceeded,
+    DimensionMismatch,
     LevelMismatch,
     NonNestingViolated,
     NotUniform,
@@ -297,6 +298,20 @@ def test_boolean5_reconstruction_on_the_default_field():
     assert are_isomorphic(result, build_boolean(5)) is not None
 
 
+def test_boolean6_reconstruction_on_the_default_field():
+    # the rank-6 scale rung; reconstruct_boolean certifies the result
+    view = algebra_view(build_boolean(6), scramble_seed=1)
+    result = reconstruct_boolean(view, 6)
+    assert are_isomorphic(result, build_boolean(6)) is not None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_boolean_recovery_needs_rank_three(n):
+    view = algebra_view(build_boolean(n), scramble_seed=1)
+    with pytest.raises(ReconstructionFailed, match="rank n >= 3"):
+        reconstruct_boolean(view, n)
+
+
 def _random_invertible(d, field, rng):
     while True:
         m = [[rng.randrange(field.p) for _ in range(d)] for _ in range(d)]
@@ -361,6 +376,14 @@ def test_view_json_round_trip(boolean3):
         view = algebra_view(boolean3, field, scramble_seed=seed)
         again = view_from_json_dict(view_to_json_dict(view))
         assert again == view
+
+
+def test_view_with_a_ragged_cell_is_a_shape_error(boolean3):
+    # not a NonNestingViolated from the recovery it would otherwise reach
+    data = view_to_json_dict(algebra_view(boolean3, scramble_seed=1))
+    data["tensors"]["2"][0][0].pop()
+    with pytest.raises(DimensionMismatch, match="cells of one width"):
+        view_from_json_dict(data)
 
 
 def test_views_are_not_kept_alive_by_caches(boolean4):
