@@ -19,6 +19,7 @@ Equivalent CLI pipeline:
 import time
 
 from laga import (
+    GF,
     algebra_view,
     are_isomorphic,
     build_boolean,
@@ -29,11 +30,11 @@ from laga import (
 )
 
 
-def run(name, graph, recover, seeds) -> None:
-    print(f"{name} (levels {graph.levels}):")
+def run(name, graph, recover, seeds, field=GF(3)) -> None:
+    print(f"{name} (levels {graph.levels}, algebra over {field.describe()}):")
     for seed in seeds:
         t0 = time.monotonic()
-        view = algebra_view(graph, scramble_seed=seed)
+        view = algebra_view(graph, field, scramble_seed=seed)
         degrees = outdegree_multiset(view, 2)
         result = recover(view)
         certified = are_isomorphic(result, graph) is not None
@@ -63,6 +64,15 @@ def main() -> None:
         build_subspace_lattice(3, 3),
         lambda v: reconstruct_subspace(v, 3, 3),
         seeds=(5,),
+    )
+    # the F_2^4 rung: each of the 15 hidden points is a maximal set of 28
+    # of the 35 lines, found by greedy closure
+    run(
+        "subspace lattice of F_2^4",
+        build_subspace_lattice(2, 4),
+        lambda v: reconstruct_subspace(v, 2, 4),
+        seeds=(1,),
+        field=GF(2),
     )
 
 

@@ -6,7 +6,10 @@ in an opaque (possibly scrambled) coordinate basis.  From that it builds
 upper vertex-like bases by kernel refinement (an exhaustive max-kernel
 ray scan is the fallback for nested views), reads off out-degree
 multisets and successor intersections, and reconstructs the hidden graph
-for non-nesting posets, Boolean lattices, and subspace lattices.  Every
+for non-nesting posets, Boolean lattices, and subspace lattices.  The
+lattices share one driver, which reads each hidden atom off the level-2
+basis as a maximal set of kernels whose intersection keeps dimension 2,
+found by a greedy closure in a bounded number of passes.  Every
 reconstruction is certified against an independently built reference
 with the graph isomorphism checker.
 
@@ -31,7 +34,6 @@ from .balgebra import (
     kappa_of_element,
 )
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     LevelMismatch,
     NonNestingViolated,
@@ -40,7 +42,7 @@ from .errors import (
     UnsupportedField,
     VerificationFailed,
 )
-from .fields import GF, FieldSpec
+from .fields import GF, FieldSpec, _is_prime
 from .graphs import (
     LayeredGraph,
     V,
@@ -56,9 +58,7 @@ from .graphs import (
 from .linalg import (
     Subspace,
     enumerate_rays,
-    enumeration_budget,
     identity,
-    kernel,
     left_kernel,
     rank,
     reduce_vector,
@@ -75,10 +75,20 @@ F3 = GF(3)
 # in kappa(v) with probability p^-(codim kappa(v)), which sets the pace:
 # Boolean lattices up to rank 5 over F_2..F_7 and rank 6 over F_3, and
 # subspace lattices (2,3), (3,3) and (2,4), needed at most 50 draws per
-# ray at any level.  Refinement is the default basis search at every
-# size, so the full bound is spent only where it cannot succeed, such as
-# nested views, once per view and level before the exhaustive fallback.
+# ray at any level.  Refinement is the basis search at every size, so
+# the full bound is spent only where it cannot succeed, such as nested
+# views, once per view and level before the exhaustive fallback.
 _KERNEL_DRAWS_PER_RAY = 500
+
+# greedy closure passes per level-1 set before the set search gives up.
+# While some basis index lies in no set accepted so far, a pass starts
+# from one, and then it lands either on a new set or on a smaller maximal
+# set, which is rejected; so the passes beyond one per set are those that
+# land on smaller sets.  Boolean lattices of rank 3-6 over F_2..F_7 and
+# subspace lattices (2,3), (3,3) and (2,4), scramble seeds 1-4, needed
+# at most two such passes in all (8 for the 6 sets of rank 6, 16 for the
+# 15 of (2,4)), so 4 per set leaves a wide margin and stays linear.
+_CLOSURE_PASSES_PER_SET = 4
 
 
 @dataclass(frozen=True)
@@ -333,7 +343,7 @@ def _sampled_vertex_rays(view: AlgebraView, n: int):
     cell of a vertex v shrinks to its ray once the y drawn inside
     kappa(v) span kappa(v).  A view that cannot be refined (nested
     kernels, or tensors of no uniform graph) stops after
-    `_KERNEL_DRAWS_PER_RAY` draws per ray of the level, and the auto
+    `_KERNEL_DRAWS_PER_RAY` draws per ray of the level, and the
     basis falls back to the exhaustive scan.  The final isomorphism
     certificate backstops correctness either way.
     """
@@ -401,51 +411,36 @@ def _unrefined_cells(cells: dict, rays, field: FieldSpec) -> dict:
     return kept
 
 
-def upper_vertex_like_basis(
-    view: AlgebraView, n: int, mode: str = "auto"
-) -> UpperBasis:
+def upper_vertex_like_basis(view: AlgebraView, n: int) -> UpperBasis:
     """A basis of the level-n component whose vectors maximize, greedily,
     the kernel dimension of left multiplication.
 
-    sampled mode finds the vertex rays by kernel refinement, intersecting
-    the right-multiplication kernels of seeded random y until they are
-    one-dimensional, and gives up with VerificationFailed after
-    `_KERNEL_DRAWS_PER_RAY` draws per ray (finite fields only).
-    exhaustive mode scans every ray of the component (finite fields
-    only, bounded by `LAGA_BUDGET`) and takes, among candidates outside
-    the span of those already chosen, one of largest kernel; ties break
-    by lex order.  vertex mode scans only the standard basis and is a
-    cross-validation shortcut for unscrambled views.  auto, the default,
-    is refinement, falling back to the exhaustive scan only where
-    refinement gives up, as on nested views; it is resolved once per
-    view and level.  On an unscrambled view every mode must reproduce
-    the kernel multiset of the vertex basis.
+    The vertex rays are found by kernel refinement, intersecting the
+    right-multiplication kernels of seeded random y until they are
+    one-dimensional (finite fields only).  Where refinement gives up
+    after `_KERNEL_DRAWS_PER_RAY` draws per ray, as on nested views, the
+    basis falls back to an exhaustive scan of every ray, bounded by
+    `LAGA_BUDGET`.  The result is kept once per view and level.  On an
+    unscrambled view it must reproduce the kernel multiset of the vertex
+    basis.
     """
     if not 1 <= n <= view.top_level:
         raise LevelMismatch(f"level {n} outside 1..{view.top_level}")
-    return _upper_basis(view, n, mode)
+    return _upper_basis(view, n)
 
 
 @memo
-def _upper_basis(view: AlgebraView, n: int, mode: str) -> UpperBasis:
+def _upper_basis(view: AlgebraView, n: int) -> UpperBasis:
     field = view.field
-    d = view.level_dims[n]
-    if mode in ("auto", "sampled"):
-        if field.is_rational:
-            raise UnsupportedField("kernel refinement needs a finite field")
-        try:
-            chosen = _sampled_vertex_rays(view, n)
-        except VerificationFailed:
-            if mode == "sampled":
-                raise
-            return _upper_basis(view, n, "exhaustive")
-    elif mode in ("vertex", "exhaustive"):
-        chosen = _greedy_scan(view, n, mode)
-    else:
-        raise ValueError(f"unknown mode: {mode}")
+    if field.is_rational:
+        raise UnsupportedField("kernel refinement needs a finite field")
+    try:
+        chosen = _sampled_vertex_rays(view, n)
+    except VerificationFailed:
+        chosen = _exhaustive_scan(view, n)
     if view.plain:
         vertex_forms = sorted(
-            kappa_view(view, n, unit).key() for unit in identity(d, field)
+            kappa_view(view, n, unit).key() for unit in identity(view.level_dims[n], field)
         )
         basis_forms = sorted(kap.key() for _, kap in chosen)
         if vertex_forms != basis_forms:
@@ -458,21 +453,14 @@ def _upper_basis(view: AlgebraView, n: int, mode: str) -> UpperBasis:
     )
 
 
-def _greedy_scan(view: AlgebraView, n: int, mode: str) -> list:
-    """(vector, kernel) pairs chosen greedily by kernel dimension from the
-    standard basis (vertex mode) or from every ray (exhaustive mode)."""
+def _exhaustive_scan(view: AlgebraView, n: int) -> list:
+    """(vector, kernel) pairs chosen greedily by kernel dimension from
+    every ray of the component, ties broken by lex order, checked against
+    the filtration by kernel dimension."""
     field = view.field
     d = view.level_dims[n]
-    if mode == "vertex":
-        if not view.plain:
-            raise VerificationFailed("vertex mode needs an unscrambled view")
-        candidates = [tuple(unit) for unit in identity(d, field)]
-    else:
-        if field.is_rational:
-            raise UnsupportedField("exhaustive ray scan needs a finite field")
-        candidates = list(enumerate_rays(field, d))
     scored = []
-    for pos, x in enumerate(candidates):
+    for pos, x in enumerate(enumerate_rays(field, d)):
         kap = kappa_view(view, n, x)
         scored.append((-kap.dim, pos, x, kap))
     scored.sort(key=lambda s: s[:2])
@@ -488,14 +476,13 @@ def _greedy_scan(view: AlgebraView, n: int, mode: str) -> list:
         chosen.append((x, kap))
     if len(chosen) < d:
         raise VerificationFailed(f"candidates span only {len(chosen)} of {d} dimensions")
-    if mode == "exhaustive":
-        _fi_chain_check(view, n, scored, chosen)
+    _fi_chain_check(view, n, scored, chosen)
     return chosen
 
 
 def outdegree_multiset(view: AlgebraView, n: int) -> list[int]:
     """Hidden out-degrees at level n: level_dims[n-1] - k + 1 per vector
-    of the default (auto) upper basis, sorted ascending."""
+    of the upper basis, sorted ascending."""
     basis = upper_vertex_like_basis(view, n)
     return sorted(view.level_dims[n - 1] - k + 1 for k in basis.ks)
 
@@ -570,61 +557,64 @@ def reconstruct_nonnesting(
     return graph
 
 
-def _annihilator(sub: Subspace) -> list[list]:
-    """RREF rows whose right kernel is exactly the given subspace."""
-    if sub.dim == 0:
-        return identity(sub.ambient_dim, sub.field)
-    return [
-        list(row)
-        for row in kernel(
-            [list(r) for r in sub.basis], sub.ambient_dim, sub.field
-        ).basis
-    ]
+def _level_one_sets(basis2: UpperBasis, size: int, count: int):
+    """The `count` sets A(u) = {v : u not in S(v)} of level-2 basis
+    indices, one per hidden level-1 vertex u, found by greedy closure.
 
+    The degree-2 quotient splits into one block per left vertex, so the
+    kappa of a set of basis vectors is the intersection of their kappas.
+    Over A(u) that intersection is span(u, Sigma), of dimension 2, and
+    A(u) is maximal among sets whose intersection keeps dimension >= 2;
+    every other maximal set is smaller.  A pass visits the indices in a
+    seeded order, least covered by the sets found so far first, keeps
+    each one that leaves the intersection of dimension >= 2, and accepts
+    the result when it has `size` members and is new.  The isomorphism
+    certificate then shows that no other set of that size exists.
+    """
+    import random
 
-def _level_one_sets(view: AlgebraView, basis2: UpperBasis, size: int, count: int):
-    """Subsets A of the level-2 basis, |A| = size, with dim kappa_A >= 2;
-    exactly `count` must exist, one per hidden level-1 vertex."""
-    field = view.field
-    d1 = view.level_dims[1]
-    anns = [_annihilator(kap) for kap in basis2.kappas]
-    m = len(anns)
-    found = []
-    budget = enumeration_budget()
-    nodes = 0
-
-    # depth first on an explicit stack of (chosen indices, their
-    # annihilator rows), so no recursive closure forms a reference cycle
-    stack = [((), [])]
-    while stack:
-        chosen, rows = stack.pop()
-        left = size - len(chosen)
-        if left == 0:
-            found.append(chosen)
-            continue
-        for j in range(chosen[-1] + 1 if chosen else 0, m - left + 1):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(
-                    f"level-1 set search: {nodes} backtrack nodes exceed budget {budget}"
-                )
-            new_rows = rows
-            for r in anns[j]:
-                residual = reduce_vector(r, new_rows, field)
-                if any(c != 0 for c in residual):
-                    new_rows, _ = rref(new_rows + [r], field)
-            if d1 - len(new_rows) >= 2:
-                stack.append((chosen + (j,), new_rows))
-    if len(found) != count:
+    rng = random.Random(0x1A6A ^ size)
+    order = list(range(len(basis2.kappas)))
+    cover = [0] * len(order)
+    found: list[tuple] = []
+    passes = 0
+    while len(found) < count and passes < _CLOSURE_PASSES_PER_SET * count:
+        passes += 1
+        rng.shuffle(order)
+        order.sort(key=cover.__getitem__)
+        acc = None
+        kept = []
+        for j in order:
+            kap = basis2.kappas[j]
+            meet = kap if acc is None else acc.intersect(kap)
+            if meet.dim >= 2:
+                acc = meet
+                kept.append(j)
+        kept = tuple(sorted(kept))
+        if len(kept) == size and kept not in found:
+            found.append(kept)
+            for j in kept:
+                cover[j] += 1
+    if len(found) < count:
         raise ReconstructionFailed(
-            f"found {len(found)} level-1 candidate sets of size {size}, expected {count}"
+            f"level-1 sets: found {len(found)} of {count} sets of size {size} "
+            f"in {passes} closure passes"
         )
     return [frozenset(a) for a in sorted(found)]
 
 
-def _assemble_and_certify(
-    view: AlgebraView, upper: LayeredGraph, asets, reference: LayeredGraph, name: str
+def _recover_lattice(
+    view: AlgebraView, expected: tuple, size: int, count: int, reference, name: str
 ) -> LayeredGraph:
+    """Recover a lattice whose level-1 vertices each miss `size` level-2
+    vertices: upper bases, then the `count` level-1 sets, then the graph,
+    certified against `reference()`."""
+    if view.level_dims[1:] != expected:
+        raise ReconstructionFailed(
+            f"level dimensions {view.level_dims[1:]} do not match the {name}: {expected}"
+        )
+    upper, bases = _nonnesting_core(view)
+    asets = _level_one_sets(bases[2], size, count)
     d1 = view.level_dims[1]
     levels = (1, d1) + tuple(view.level_dims[2:])
     edges = [(V(1, i), V(0, 0)) for i in range(d1)]
@@ -636,7 +626,7 @@ def _assemble_and_certify(
         (V(t.level + 2, t.index), V(h.level + 2, h.index)) for t, h in upper.edges
     ]
     result = build_graph(levels, edges, unique_minimal=True)
-    if are_isomorphic(result, reference) is None:
+    if are_isomorphic(result, reference()) is None:
         raise ReconstructionFailed(f"output is not isomorphic to the {name}")
     return result
 
@@ -645,35 +635,28 @@ def reconstruct_boolean(view: AlgebraView, n: int) -> LayeredGraph:
     """Full recovery of the rank-n Boolean lattice (n >= 3), certified."""
     if n < 3:
         raise ReconstructionFailed("Boolean recovery needs rank n >= 3")
-    expected = tuple(math.comb(n, i) for i in range(1, n + 1))
-    if view.level_dims[1:] != expected:
-        raise ReconstructionFailed(
-            f"level dimensions {view.level_dims[1:]} do not match rank {n}: {expected}"
-        )
-    upper, bases = _nonnesting_core(view)
-    asets = _level_one_sets(view, bases[2], math.comb(n - 1, 2), n)
-    return _assemble_and_certify(
-        view, upper, asets, build_boolean(n), f"rank-{n} Boolean lattice"
+    return _recover_lattice(
+        view,
+        tuple(math.comb(n, i) for i in range(1, n + 1)),
+        math.comb(n - 1, 2),
+        n,
+        lambda: build_boolean(n),
+        f"rank-{n} Boolean lattice",
     )
 
 
 def reconstruct_subspace(view: AlgebraView, q: int, n: int) -> LayeredGraph:
     """Full recovery of the subspace lattice of F_q^n (n >= 3), certified."""
+    if q < 2 or not _is_prime(q):
+        raise UnsupportedField(f"q = {q}: only prime fields are supported")
     if n < 3:
         raise ReconstructionFailed("subspace recovery needs rank n >= 3")
-    expected = tuple(gaussian_binomial(n, k, q) for k in range(1, n + 1))
-    if view.level_dims[1:] != expected:
-        raise ReconstructionFailed(
-            f"level dimensions {view.level_dims[1:]} do not match q={q}, n={n}: {expected}"
-        )
-    size = (q**n - q**2) * (q ** (n - 1) - 1) // ((q - 1) * (q**2 - 1))
-    upper, bases = _nonnesting_core(view)
-    asets = _level_one_sets(view, bases[2], size, gaussian_binomial(n, 1, q))
-    return _assemble_and_certify(
+    return _recover_lattice(
         view,
-        upper,
-        asets,
-        build_subspace_lattice(q, n),
+        tuple(gaussian_binomial(n, k, q) for k in range(1, n + 1)),
+        (q**n - q**2) * (q ** (n - 1) - 1) // ((q - 1) * (q**2 - 1)),
+        gaussian_binomial(n, 1, q),
+        lambda: build_subspace_lattice(q, n),
         f"subspace lattice of F_{q}^{n}",
     )
 

@@ -156,6 +156,14 @@ def test_computation_errors_exit_three(boolean3_file, tmp_path, capsys):
     assert main(["scramble", boolean3_file, "--seed", "1", "-o", view_file]) == 0
     assert main(["reconstruct", view_file, "--family", "boolean", "-n", "4"]) == 3
     assert "error:" in capsys.readouterr().err
+    # a q that is no prime is rejected before any count divides by q - 1
+    subspace_file = str(tmp_path / "subspace.json")
+    assert main(["build", "subspace", "2", "3", "-o", subspace_file]) == 0
+    assert main(["scramble", subspace_file, "--seed", "1", "-o", view_file]) == 0
+    for q in ("1", "-1"):
+        argv = ["reconstruct", view_file, "--family", "subspace", "-q", q, "-n", "3"]
+        assert main(argv) == 3
+        assert "error:" in capsys.readouterr().err
 
 
 def _edited(data, path, value=None):

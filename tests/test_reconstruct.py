@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import itertools
 import json
+import math
 import random
 import time
 import weakref
@@ -13,7 +15,6 @@ from laga import (
     QQ,
     AlgebraView,
     BElement,
-    BudgetExceeded,
     DimensionMismatch,
     LevelMismatch,
     NonNestingViolated,
@@ -28,6 +29,7 @@ from laga import (
     build_boolean,
     build_complete_layered,
     build_subspace_lattice,
+    gaussian_binomial,
     gr_hilbert_table,
     intersection_size,
     is_quadratic_to_degree,
@@ -35,6 +37,7 @@ from laga import (
     kappa_combinatorial,
     kappa_kernel,
     kappa_view,
+    kernel,
     outdegree_multiset,
     rank,
     reconstruct_boolean,
@@ -47,8 +50,15 @@ from laga import (
     view_from_json_dict,
     view_to_json_dict,
 )
-from laga.linalg import matrix_apply, transpose
-from laga.reconstruct import _KERNEL_DRAWS_PER_RAY, _move_preserves_kappas
+from laga.linalg import identity, matrix_apply, transpose
+from laga.reconstruct import (
+    _CLOSURE_PASSES_PER_SET,
+    _KERNEL_DRAWS_PER_RAY,
+    _exhaustive_scan,
+    _level_one_sets,
+    _move_preserves_kappas,
+    _sampled_vertex_rays,
+)
 
 F3 = GF(3)
 
@@ -148,14 +158,13 @@ def test_kappa_view_matches_combinatorial_on_plain(boolean3):
 
 
 def test_basis_modes_agree_on_plain_view(boolean3):
+    # the scan's kernels are those of the standard (vertex) basis
     view = algebra_view(boolean3)
     for n in range(2, 4):
-        exhaustive = upper_vertex_like_basis(view, n, "exhaustive")
-        vertex = upper_vertex_like_basis(view, n, "vertex")
-        assert sorted(exhaustive.ks) == sorted(vertex.ks)
-        assert sorted(k.key() for k in exhaustive.kappas) == sorted(
-            k.key() for k in vertex.kappas
-        )
+        exhaustive = [kap for _, kap in _exhaustive_scan(view, n)]
+        vertex = [kappa_view(view, n, unit) for unit in identity(view.level_dims[n], F3)]
+        assert sorted(k.dim for k in exhaustive) == sorted(k.dim for k in vertex)
+        assert sorted(k.key() for k in exhaustive) == sorted(k.key() for k in vertex)
 
 
 def test_sampled_mode_agrees(subspace23):
@@ -168,12 +177,10 @@ def test_sampled_mode_agrees(subspace23):
     )
     for view, levels in cases:
         for n in levels:
-            sampled = upper_vertex_like_basis(view, n, "sampled")
-            exhaustive = upper_vertex_like_basis(view, n, "exhaustive")
-            assert sorted(sampled.ks) == sorted(exhaustive.ks)
-            assert sorted(k.key() for k in sampled.kappas) == sorted(
-                k.key() for k in exhaustive.kappas
-            )
+            sampled = [kap for _, kap in _sampled_vertex_rays(view, n)]
+            exhaustive = [kap for _, kap in _exhaustive_scan(view, n)]
+            assert sorted(k.dim for k in sampled) == sorted(k.dim for k in exhaustive)
+            assert sorted(k.key() for k in sampled) == sorted(k.key() for k in exhaustive)
 
 
 def test_sampled_mode_gives_up_on_nested_views(nested_graph):
@@ -187,7 +194,7 @@ def test_sampled_mode_gives_up_on_nested_views(nested_graph):
             VerificationFailed,
             match=f"found 1 of 2 vertex rays at level 2 after {draws} draws",
         ):
-            upper_vertex_like_basis(view, 2, "sampled")
+            _sampled_vertex_rays(view, 2)
         assert time.perf_counter() - start < 1.0
 
 
@@ -206,8 +213,8 @@ def test_auto_falls_back_to_the_scan_once_on_nested_views(nested_graph, monkeypa
         first = upper_vertex_like_basis(view, 2)
         assert upper_vertex_like_basis(view, 2) == first
         assert calls == [2]
-        oracle = upper_vertex_like_basis(algebra_view(nested_graph, GF(p)), 2, "exhaustive")
-        assert first == oracle
+        oracle = _exhaustive_scan(algebra_view(nested_graph, GF(p)), 2)
+        assert list(zip(first.vectors, first.kappas)) == oracle
 
 
 def test_plain_view_check_runs_after_refinement(boolean3, monkeypatch):
@@ -216,11 +223,10 @@ def test_plain_view_check_runs_after_refinement(boolean3, monkeypatch):
         return [(x, kappa_view(view, n, x)) for x in rays]
 
     monkeypatch.setattr(laga.reconstruct, "_sampled_vertex_rays", wrong_rays)
-    for mode in ("sampled", "auto"):
-        with pytest.raises(
-            VerificationFailed, match="kernel multiset does not match the vertex basis"
-        ):
-            upper_vertex_like_basis(algebra_view(boolean3), 2, mode)
+    with pytest.raises(
+        VerificationFailed, match="kernel multiset does not match the vertex basis"
+    ):
+        upper_vertex_like_basis(algebra_view(boolean3), 2)
 
 
 def test_subspace33_over_f2_recovers_without_the_scan(monkeypatch):
@@ -426,17 +432,61 @@ def test_recovery_and_certificate_leave_no_reference_cycles(boolean4):
         gc.enable()
 
 
-def test_level_one_search_respects_budget(boolean4, monkeypatch):
-    view = algebra_view(boolean4, scramble_seed=5)
-    # the upper bases stay cached on the view, so under the tiny budget
-    # only the level-1 set search enumerates anything
-    for n in range(2, 5):
-        upper_vertex_like_basis(view, n)
-    monkeypatch.setenv("LAGA_BUDGET", "5")
-    with pytest.raises(BudgetExceeded, match="level-1 set search: 6 backtrack nodes"):
-        reconstruct_boolean(view, 4)
-    monkeypatch.delenv("LAGA_BUDGET")
-    assert are_isomorphic(reconstruct_boolean(view, 4), boolean4) is not None
+def _lattice_sets(spec):
+    """(size, count) of the level-1 sets of a Boolean or subspace lattice."""
+    family, *params = spec
+    if family == "boolean":
+        (n,) = params
+        return math.comb(n - 1, 2), n
+    q, n = params
+    size = (q**n - q**2) * (q ** (n - 1) - 1) // ((q - 1) * (q**2 - 1))
+    return size, gaussian_binomial(n, 1, q)
+
+
+@pytest.mark.parametrize(
+    "spec", [("boolean", 4), ("boolean", 5), ("subspace", 2, 3), ("subspace", 3, 3)]
+)
+def test_level_one_sets_are_every_set_of_their_size(spec):
+    # brute force over all subsets of the level-2 basis of that size (at
+    # most 715), in the order the recovery returns them; an intersection
+    # of kernels is the kernel of their stacked annihilator rows
+    size, count = _lattice_sets(spec)
+    for seed in (1, 2, 3):
+        basis2 = upper_vertex_like_basis(algebra_view(_lattice(spec), scramble_seed=seed), 2)
+        d1 = basis2.kappas[0].ambient_dim
+        anns = [kernel([list(r) for r in k.basis], d1, F3).basis for k in basis2.kappas]
+        oracle = [
+            frozenset(a)
+            for a in itertools.combinations(range(len(anns)), size)
+            if d1 - rank([r for j in a for r in anns[j]], F3) >= 2
+        ]
+        assert len(oracle) == count
+        assert _level_one_sets(basis2, size, count) == oracle
+
+
+def test_level_one_sets_name_what_they_found(boolean4):
+    basis2 = upper_vertex_like_basis(algebra_view(boolean4, scramble_seed=5), 2)
+    passes = _CLOSURE_PASSES_PER_SET * 4
+    start = time.perf_counter()
+    with pytest.raises(
+        ReconstructionFailed,
+        match=f"found 0 of 4 sets of size 4 in {passes} closure passes",
+    ):
+        _level_one_sets(basis2, 4, 4)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_subspace24_over_f2_recovers():
+    # the F_2^4 rung: 35 lines, 15 level-1 sets of 28, and the level-3
+    # basis of 15 planes; reconstruct_subspace certifies the result
+    g = build_subspace_lattice(2, 4)
+    view = algebra_view(g, GF(2), scramble_seed=1)
+    start = time.perf_counter()
+    result = reconstruct_subspace(view, 2, 4)
+    assert time.perf_counter() - start < 30
+    assert result.levels == g.levels
+    # each plane covers its 7 lines
+    assert outdegree_multiset(view, 3) == [7] * 15
 
 
 def test_view_rejects_elements_of_another_field(boolean3):
