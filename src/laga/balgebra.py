@@ -32,11 +32,9 @@ from .linalg import (
     full_space,
     identity,
     left_kernel,
-    matrix_apply,
     rank,
     reduce_vector,
     span,
-    transpose,
     zero_space,
 )
 
@@ -345,11 +343,9 @@ def iso_condition_check(
             raise DimensionMismatch(f"level {lvl} map is not invertible")
         maps[lvl] = mat
     for n in range(2, g1.top_level + 1):
-        # row images x -> x M are M^T applied to x
-        below_t = transpose(maps[n - 1])
         for v in g1.level_vertices(n):
             kv = kappa_combinatorial(g1, [v], field=field)
-            image_rows = [matrix_apply(below_t, row, field) for row in kv.basis]
+            image_rows = [field.combine(row, maps[n - 1]) for row in kv.basis]
             phi_kv = span(image_rows, g1.levels[n - 1], field)
             image_v = BElement(field, n, tuple(maps[n][v.index]))
             k_phi_v = kappa_of_element(g2, image_v)

@@ -7,12 +7,13 @@ error, 3 computation error (budget, verification, bad input data).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
 from .balgebra import b_hilbert_table, kappa_profile, quadratic_dual_check
 from .errors import LagaError
-from .fields import GF, QQ
+from .fields import GF
 from .graphs import (
     LayeredGraph,
     are_isomorphic,
@@ -194,19 +195,15 @@ def _invariants(g: LayeredGraph, max_m: int, max_n: int) -> dict:
         "bigraded dimensions": sorted([m, n, d] for (m, n), d in table.entries),
     }
     for n in range(2, g.top_level + 1):
-        ks = sorted(class_partition(g, [v]).k for v in g.level_vertices(n))
-        out[f"level {n} k multiset"] = ks
-        out[f"level {n} out-degree multiset"] = sorted(
-            g.levels[n - 1] - k + 1 for k in ks
-        )
-        sizes = []
+        below = g.levels[n - 1]
         verts = g.level_vertices(n)
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                k_pair = class_partition(g, [verts[i], verts[j]]).k
-                k_i = class_partition(g, [verts[i]]).k
-                k_j = class_partition(g, [verts[j]]).k
-                sizes.append(g.levels[n - 1] + k_pair - k_i - k_j + 1)
+        k = [class_partition(g, [v]).k for v in verts]
+        out[f"level {n} k multiset"] = sorted(k)
+        out[f"level {n} out-degree multiset"] = sorted(below - ki + 1 for ki in k)
+        sizes = [
+            below + class_partition(g, [verts[i], verts[j]]).k - k[i] - k[j] + 1
+            for i, j in itertools.combinations(range(len(verts)), 2)
+        ]
         out[f"level {n} intersection sizes"] = sorted(sizes)
     return out
 

@@ -7,9 +7,11 @@ computation names its `FieldSpec`, and containers that hold scalars
 
 `FieldSpec` coerces a value (or with `vector`, a row) into its field and
 supplies the row-level operations the linear algebra is written in:
-`inv`, `scale`, `axpy` and `dot`.  Over F_p each reduces modulo p once
-per entry; over Q it is the same expression without the reduction, so
-`laga.linalg` has one code path for both fields.
+`inv`, `scale`, `axpy`, `dot` and `combine` (a row vector times a
+matrix, the one product of every kernel and level map).  Over F_p each
+reduces modulo p once per entry; over Q it is the same expression
+without the reduction, so `laga.linalg` has one code path for both
+fields.
 """
 
 from __future__ import annotations
@@ -108,6 +110,18 @@ class FieldSpec:
         """The coordinate pairing sum(x_i * y_i)."""
         total = sum(a * b for a, b in zip(x, y))
         return Fraction(total) if self.p is None else total % self.p
+
+    def combine(self, coeffs, rows) -> list:
+        """The row vector coeffs times the matrix rows: sum(c * row) over
+        the nonzero coefficients c."""
+        p = self.p
+        acc = [self.zero] * (len(rows[0]) if rows else 0)
+        for c, row in zip(coeffs, rows):
+            if c and p is None:
+                acc = [a + c * b if b else a for a, b in zip(acc, row)]
+            elif c:
+                acc = [a + c * b for a, b in zip(acc, row)]
+        return acc if p is None else [a % p for a in acc]
 
     def describe(self) -> str:
         return "Q" if self.p is None else f"F_{self.p}"

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import GF, _is_prime
-from .linalg import enumeration_budget, rref
+from .linalg import enumeration_budget, span
 
 
 class V(NamedTuple):
@@ -209,10 +209,9 @@ def build_subspace_lattice(q: int, n: int) -> LayeredGraph:
     edges = []
     for k in range(1, n + 1):
         for j, upper in enumerate(by_level[k]):
-            basis = [[fld(x) for x in row] for row in upper]
-            reduced, _ = rref(basis, fld)
+            space = span(upper, n, fld)
             for j2, lower in enumerate(by_level[k - 1]):
-                if _rows_in_span(lower, reduced, fld):
+                if all(space.contains_vector(row) for row in lower):
                     edges.append((V(k, j), V(k - 1, j2)))
     labels = {
         V(k, j): "/".join("".join(map(str, row)) for row in m) or "0"
@@ -226,16 +225,6 @@ def build_subspace_lattice(q: int, n: int) -> LayeredGraph:
         positive_outdegree=True,
         labels=labels,
     )
-
-
-def _rows_in_span(rows, rref_basis, fld) -> bool:
-    from .linalg import reduce_vector
-
-    for row in rows:
-        residual = reduce_vector([fld(x) for x in row], rref_basis, fld)
-        if any(x != 0 for x in residual):
-            return False
-    return True
 
 
 def build_complete_layered(sizes: Iterable[int]) -> LayeredGraph:

@@ -176,7 +176,7 @@ def matrix_apply(rows: Sequence[Sequence], vector, field: FieldSpec):
     return [field.dot(row, v) for row in rows]
 
 
-def enumerate_rays(field: FieldSpec, dim: int, budget: int | None = None) -> Iterator[tuple]:
+def enumerate_rays(field: FieldSpec, dim: int) -> Iterator[tuple]:
     """All nonzero vectors of F_p^dim up to scalar, one per ray.
 
     The representative has first nonzero coordinate equal to 1; rays come
@@ -185,7 +185,7 @@ def enumerate_rays(field: FieldSpec, dim: int, budget: int | None = None) -> Ite
     if field.is_rational:
         raise AmbientMismatch("ray enumeration needs a finite field")
     p = field.p
-    limit = budget if budget is not None else enumeration_budget()
+    limit = enumeration_budget()
     if p**dim > limit:
         raise BudgetExceeded(f"{p}^{dim} rays exceed budget {limit}")
     for lead in reversed(range(dim)):

@@ -116,35 +116,16 @@ class AlgebraView:
         return len(self.level_dims) - 1
 
     def multiply(self, n: int, x, y) -> tuple:
-        """Bilinear product of a level-n vector and a level-(n-1) vector."""
+        """Bilinear product of a level-n vector and a level-(n-1) vector,
+        as two `FieldSpec.combine` steps: y times each row of cells t[i],
+        then x times those rows.  The view kernels read their rows straight
+        off the tensors; this is the reference the tests hold them to."""
         if n < 2 or n > self.top_level:
             return ()
         field = self.field
-        t = self.tensors[n]
-        width = len(t[0][0]) if t and t[0] else 0
-        acc = [field.zero] * width
-        # the kernels multiply by unit vectors, so loop over nonzeros only
-        y_support = [(j, b) for j, b in enumerate(field.vector(y)) if b != 0]
-        for i, a in enumerate(field.vector(x)):
-            if a != 0:
-                for j, b in y_support:
-                    acc = field.axpy(acc, -(a * b), t[i][j])
-        return tuple(acc)
-
-
-def _compose(first: list[list], second: list[list], field: FieldSpec) -> list[list]:
-    """Row-convention product: row i of the result is the image of row i
-    of `first` under the map whose basis images are the rows of `second`."""
-    width = len(second[0])
-    out = []
-    for row in first:
-        acc = [field.zero] * width
-        for j, c in enumerate(row):
-            if c == 0:
-                continue
-            acc = field.axpy(acc, -c, second[j])
-        out.append(acc)
-    return out
+        y = field.vector(y)
+        rows = [field.combine(y, row) for row in self.tensors[n]]
+        return tuple(field.combine(field.vector(x), rows))
 
 
 def _propose_move(d, pairs, fat, field, rng, nonzero):
@@ -192,7 +173,7 @@ def _move_preserves_kappas(g, n, move, kappas, field) -> bool:
         for v in g.level_vertices(n + 1):
             kv = kappas[v]
             moved = [x for x in kv.basis if any(x[i] != 0 for i in changed)]
-            if not all(kv.contains_vector(x) for x in _compose(moved, move, field)):
+            if not all(kv.contains_vector(field.combine(x, move)) for x in moved):
                 return False
     return True
 
@@ -233,7 +214,7 @@ def _scramble_maps(g: LayeredGraph, field: FieldSpec, rng) -> dict[int, list[lis
         for _ in range(3 * d):
             move = _propose_move(d, pairs, fat, field, rng, nonzero)
             if move is not None and _move_preserves_kappas(g, n, move, kappas, field):
-                maps[n] = _compose(maps[n], move, field)
+                maps[n] = [field.combine(row, move) for row in maps[n]]
     assert iso_condition_check(g, g, maps, field)
     return maps
 
@@ -270,8 +251,11 @@ def algebra_view(
 
 @memo
 def _left_mult_kernel(view: AlgebraView, n: int, coords: tuple) -> Subspace:
-    units = identity(view.level_dims[n - 1], view.field)
-    return left_kernel([view.multiply(n, coords, y) for y in units], view.field)
+    # column j of the tensor gives the row coords * e_j; level 1 has no
+    # tensor and multiplies into nothing
+    t = view.tensors[n] if n >= 2 else ()
+    cols = [[row[j] for row in t] for j in range(view.level_dims[n - 1])]
+    return left_kernel([view.field.combine(coords, col) for col in cols], view.field)
 
 
 def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
@@ -321,8 +305,8 @@ def _fi_chain_check(view: AlgebraView, n: int, scored, chosen) -> None:
 
 def _right_mult_kernel(view: AlgebraView, n: int, y) -> Subspace:
     """{a in the level-n component : a * y = 0} for y one level down."""
-    units = identity(view.level_dims[n], view.field)
-    return left_kernel([view.multiply(n, x, y) for x in units], view.field)
+    rows = [view.field.combine(y, row) for row in view.tensors[n]]
+    return left_kernel(rows, view.field)
 
 
 def _sampled_vertex_rays(view: AlgebraView, n: int):

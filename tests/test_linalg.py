@@ -21,6 +21,7 @@ from laga import (
     span,
     zero_space,
 )
+from laga.linalg import matrix_apply, transpose
 
 F2 = GF(2)
 F5 = GF(5)
@@ -109,6 +110,29 @@ def test_prime_field_results_are_reduced_ints(p, data):
             assert all(type(x) is int and 0 <= x < p for x in row)
 
 
+@given(st.sampled_from([QQ, F2, GF(3), F5, GF(7)]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_combine_is_the_vector_matrix_product(field, data):
+    nrows = data.draw(st.integers(1, 5))
+    ncols = data.draw(st.integers(1, 5))
+    if field.is_rational:
+        entries = st.fractions(-4, 4, max_denominator=5)
+    else:
+        entries = st.integers(-8, 8)
+    # zero coefficients are skipped, so draw plenty of them
+    coeffs = st.lists(st.one_of(st.just(0), entries), min_size=nrows, max_size=nrows)
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+    m = [field.vector(r) for r in rows]
+    for c in (field.vector(data.draw(coeffs)), [field.zero] * nrows):
+        out = field.combine(c, m)
+        assert out == matrix_apply(transpose(m), c, field)
+        if field.is_rational:
+            assert all(type(x) is Fraction for x in out)
+        else:
+            assert all(type(x) is int and 0 <= x < field.p for x in out)
+
+
 @st.composite
 def two_subspaces(draw):
     field = draw(fields)
@@ -173,9 +197,10 @@ def test_enumerate_rays_counts():
     assert len(list(enumerate_rays(F5, 2))) == (5**2 - 1) // 4
 
 
-def test_enumerate_rays_budget():
+def test_enumerate_rays_budget(monkeypatch):
+    monkeypatch.setenv("LAGA_BUDGET", "1000")
     with pytest.raises(BudgetExceeded):
-        list(enumerate_rays(F2, 40, budget=1000))
+        list(enumerate_rays(F2, 40))
 
 
 def test_budget_env_override(monkeypatch):

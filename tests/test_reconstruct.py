@@ -38,6 +38,7 @@ from laga import (
     kappa_kernel,
     kappa_view,
     kernel,
+    left_kernel,
     outdegree_multiset,
     rank,
     reconstruct_boolean,
@@ -57,6 +58,7 @@ from laga.reconstruct import (
     _exhaustive_scan,
     _level_one_sets,
     _move_preserves_kappas,
+    _right_mult_kernel,
     _sampled_vertex_rays,
 )
 
@@ -155,6 +157,49 @@ def test_kappa_view_matches_combinatorial_on_plain(boolean3):
         kappa_view(view, 4, ())
     with pytest.raises(LevelMismatch):
         kappa_view(view, 2, (1,))
+
+
+@pytest.mark.parametrize(
+    "spec, p, seed",
+    [
+        (("boolean", 4), 3, 1),
+        (("boolean", 4), 5, 2),
+        (("subspace", 2, 3), 3, 1),
+        (("boolean", 3), None, None),
+    ],
+)
+def test_view_kernels_are_the_unit_vector_products(spec, p, seed):
+    # the kernels read their rows straight off the tensors; the reference
+    # builds each row with one `multiply` per unit vector.  Random x and y
+    # mostly give trivial kernels, so vertex vectors (the unit vectors of
+    # a plain view) and their kappas are tried too.
+    field = GF(p) if p else QQ
+    view = algebra_view(_lattice(spec), field, scramble_seed=seed)
+    rng = random.Random(9)
+    proper = 0
+    for n in range(2, view.top_level + 1):
+        d, d_prev = view.level_dims[n], view.level_dims[n - 1]
+        if view.plain:
+            vertices = identity(d, field)
+        else:
+            vertices = upper_vertex_like_basis(view, n).vectors
+        xs = list(vertices) + [
+            tuple(field(rng.randrange(-2, 3)) for _ in range(d)) for _ in range(4)
+        ]
+        ys = [row for x in vertices for row in kappa_view(view, n, x).basis] + [
+            tuple(field(rng.randrange(-2, 3)) for _ in range(d_prev)) for _ in range(4)
+        ]
+        for x in xs:
+            rows = [view.multiply(n, x, e) for e in identity(d_prev, field)]
+            ker = kappa_view(view, n, x)
+            assert ker == left_kernel(rows, field)
+            proper += 0 < ker.dim < d_prev
+        for y in ys:
+            rows = [view.multiply(n, e, y) for e in identity(d, field)]
+            ker = _right_mult_kernel(view, n, y)
+            assert ker == left_kernel(rows, field)
+            proper += 0 < ker.dim < d
+    assert proper
 
 
 def test_basis_modes_agree_on_plain_view(boolean3):
