@@ -11,7 +11,8 @@ supplies the row-level operations the linear algebra is written in:
 matrix, the one product of every kernel and level map).  Over F_p each
 reduces modulo p once per entry; over Q it is the same expression
 without the reduction, so `laga.linalg` has one code path for both
-fields.
+fields.  Over Q, `vector` passes a `Fraction` entry through unchanged
+(Fractions are immutable, so rows may share them) and coerces the rest.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ class FieldSpec:
     def vector(self, xs) -> list:
         """Every entry of xs coerced into this field."""
         p = self.p
-        if p is not None and all(type(x) is int for x in xs):
+        if p is None:
+            return [x if type(x) is Fraction else Fraction(x) for x in xs]
+        if all(type(x) is int for x in xs):
             return [x % p for x in xs]
         return [self(x) for x in xs]
 
@@ -108,8 +111,9 @@ class FieldSpec:
 
     def dot(self, x, y):
         """The coordinate pairing sum(x_i * y_i)."""
-        total = sum(a * b for a, b in zip(x, y))
-        return Fraction(total) if self.p is None else total % self.p
+        if self.p is None:
+            return Fraction(sum(a * b for a, b in zip(x, y) if a and b))
+        return sum(a * b for a, b in zip(x, y)) % self.p
 
     def combine(self, coeffs, rows) -> list:
         """The row vector coeffs times the matrix rows: sum(c * row) over

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
+    DimensionMismatch,
     EmptySuccessor,
     KOutOfRange,
     MultipleMinimal,
@@ -308,23 +309,48 @@ def _vertex_paths_from(g: LayeredGraph, v: V, nverts: int) -> tuple[Word, ...]:
 
 
 class _UnionFind:
+    """Classes of the words of one bidegree.  A word enters `parent` on
+    its first union, so words that no relation touches are counted in
+    `count`, never built; only non-root words are keys of `parent`."""
+
     def __init__(self, size: int):
-        self.parent = list(range(size))
+        self.parent: dict[Word, Word] = {}
         self.count = size
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
+    def find(self, w: Word) -> Word:
+        parent = self.parent
+        if w not in parent:
+            return w
+        root = parent[w]
+        while root in parent:
+            root = parent[root]
+        while w in parent:
+            parent[w], w = root, parent[w]
         return root
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[ri] = rj
+    def union(self, w1: Word, w2: Word) -> None:
+        r1, r2 = self.find(w1), self.find(w2)
+        if r1 != r2:
+            self.parent[r1] = r2
             self.count -= 1
+
+
+def _word_count(g: LayeredGraph, m: int, n: int) -> int:
+    """The number of words of bidegree (m, n), counted by length and
+    weight from the level sizes, without building any word."""
+    if n < 0:
+        return 0
+    top = g.top_level
+    ways = [1] + [0] * n  # ways[w]: words of the current length, weight w
+    for _ in range(m):
+        ways = [
+            sum(g.levels[k] * ways[w - k] for k in range(1, min(w, top) + 1))
+            for w in range(n + 1)
+        ]
+    budget = enumeration_budget()
+    if ways[n] > budget:
+        raise BudgetExceeded(f"bidegree ({m},{n}) word count")
+    return ways[n]
 
 
 def _generator_word_pairs(g: LayeredGraph, gen_len: int):
@@ -338,7 +364,7 @@ def _generator_word_pairs(g: LayeredGraph, gen_len: int):
 
 
 def _union_padded_pairs(
-    g: LayeredGraph, m: int, n: int, uf: _UnionFind, index, gen_len: int
+    g: LayeredGraph, m: int, n: int, uf: _UnionFind, gen_len: int
 ) -> None:
     """Merge word classes along padded length-`gen_len` generators.
 
@@ -361,39 +387,44 @@ def _union_padded_pairs(
                     continue
                 for base, other in gen_list:
                     for lword in lefts:
+                        lbase, lother = lword + base, lword + other
                         for rword in rights:
-                            uf.union(
-                                index[lword + base + rword],
-                                index[lword + other + rword],
-                            )
+                            uf.union(lbase + rword, lother + rword)
 
 
-def _word_classes(g: LayeredGraph, m: int, n: int, max_gen_len: int):
-    words = words_of_bidegree(g, m, n)
-    index = {w: i for i, w in enumerate(words)}
-    uf = _UnionFind(len(words))
+def _word_classes(g: LayeredGraph, m: int, n: int, max_gen_len: int) -> _UnionFind:
+    """The word classes of bidegree (m, n) under padded generators of
+    length up to max_gen_len.  The words are counted, not built: only
+    those a padded generator touches enter the union-find."""
+    uf = _UnionFind(_word_count(g, m, n))
     for gen_len in range(2, min(max_gen_len, m) + 1):
-        _union_padded_pairs(g, m, n, uf, index, gen_len)
-    return words, index, uf
+        _union_padded_pairs(g, m, n, uf, gen_len)
+    return uf
 
 
 def gr_dimension(g: LayeredGraph, m: int, n: int, field: FieldSpec = QQ) -> int:
     """dim of the bidegree-(m, n) component of the quotient by the full
     relation ideal: the number of word classes under padded rewrites
     (every relation is a difference of two words)."""
-    words, _, uf = _word_classes(g, m, n, m)
-    return uf.count if words else 0
+    return _word_classes(g, m, n, m).count
 
 
 def in_relation_span(
     g: LayeredGraph, el: FreeElement, m: int, n: int
 ) -> bool:
     """Whether el lies in the bidegree-(m, n) relation span: its
-    coefficients must sum to zero over every word class."""
-    words, index, uf = _word_classes(g, m, n, m)
-    sums: dict[int, object] = {}
+    coefficients must sum to zero over every word class.  A term whose
+    word is not of bidegree (m, n) raises `DimensionMismatch`."""
+    positive = set(g.positive_vertices())
+    for w in el.terms:
+        if len(w) != m or word_weight(w) != n or not positive.issuperset(w):
+            raise DimensionMismatch(
+                f"word {w} is not a word of bidegree ({m},{n})"
+            )
+    uf = _word_classes(g, m, n, m)
+    sums: dict[Word, object] = {}
     for w, c in el.terms.items():
-        root = uf.find(index[w])
+        root = uf.find(w)
         sums[root] = sums.get(root, 0) + c
     return all(el.field(total) == 0 for total in sums.values())
 
@@ -419,11 +450,11 @@ def is_quadratic_to_degree(
 def _quadratic_in(g: LayeredGraph, m: int, n: int) -> bool:
     """Whether the longer generators merge no word classes of bidegree
     (m, n) beyond the padded degree-2 ones.  A function of its own, so
-    one bidegree's words are freed before the next one's are built."""
-    _, index, uf = _word_classes(g, m, n, 2)
+    one bidegree's classes are freed before the next one's are built."""
+    uf = _word_classes(g, m, n, 2)
     quad_count = uf.count
     for gen_len in range(3, m + 1):
-        _union_padded_pairs(g, m, n, uf, index, gen_len)
+        _union_padded_pairs(g, m, n, uf, gen_len)
     return uf.count == quad_count
 
 

@@ -40,13 +40,13 @@ def rref(rows: Sequence[Sequence], field: FieldSpec):
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         pivot_row = m[r] = field.scale(m[r], field.inv(m[r][c]))
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
+            if i != r and m[i][c]:
                 m[i] = field.axpy(m[i], m[i][c], pivot_row)
         pivots.append(c)
         r += 1

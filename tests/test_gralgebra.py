@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from laga import (
     QQ,
     BudgetExceeded,
+    DimensionMismatch,
     FreeElement,
     KOutOfRange,
     V,
@@ -32,6 +33,7 @@ from laga import (
     word_weight,
     words_of_bidegree,
 )
+from laga.gralgebra import _generator_word_pairs, _quadratic_in, _word_count
 
 
 def test_distinguished_path_follows_least_successor(boolean3):
@@ -117,6 +119,16 @@ def test_normalize_preserves_quotient_class(boolean3):
     assert in_relation_span(boolean3, diff, 2, 5)
 
 
+def test_in_relation_span_rejects_foreign_words(boolean3):
+    """A word of another bidegree, or with a letter outside the graph,
+    fails fast instead of counting as a class of its own."""
+    inside = FreeElement.word((V(3, 0), V(2, 1)))
+    for word in ((V(3, 0), V(1, 1)), (V(3, 0), V(2, 7)), (V(3, 0), V(2, 1), V(0, 0))):
+        el = inside - FreeElement.word(word)
+        with pytest.raises(DimensionMismatch, match=r"is not a word of bidegree \(2,5\)"):
+            in_relation_span(boolean3, el, 2, 5)
+
+
 def test_pair_sequences_count_equals_quotient_dimension(boolean3):
     for m in range(1, 4):
         for n in range(1, 9):
@@ -165,6 +177,92 @@ def test_words_of_bidegree_respects_budget(monkeypatch, boolean3):
         words_of_bidegree(boolean3, 2, 3)
     monkeypatch.setenv("LAGA_BUDGET", "18")
     assert len(words_of_bidegree(boolean3, 2, 3)) == 18
+
+
+def _dense_class_count(g, m, n, max_gen_len):
+    """Brute-force oracle of the word classes: a list union-find over
+    every word of the bidegree, merging each word with every rewrite of
+    one of its factors along a generator of length <= max_gen_len."""
+    words = words_of_bidegree(g, m, n)
+    index = {w: i for i, w in enumerate(words)}
+    parent = list(range(len(words)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for gen_len in range(2, min(max_gen_len, m) + 1):
+        rewrites = {}
+        for base, other in _generator_word_pairs(g, gen_len):
+            rewrites.setdefault(base, []).append(other)
+        for w in words:
+            for i in range(m - gen_len + 1):
+                for other in rewrites.get(w[i : i + gen_len], ()):
+                    j = index[w[:i] + other + w[i + gen_len :]]
+                    parent[find(index[w])] = find(j)
+    return sum(find(i) == i for i in range(len(words)))
+
+
+def _check_word_classes(g):
+    for m in range(0, 5):
+        for n in range(0, m * g.top_level + 2):
+            assert _word_count(g, m, n) == len(words_of_bidegree(g, m, n))
+            full = _dense_class_count(g, m, n, m)
+            assert gr_dimension(g, m, n) == full
+            if m >= 3:
+                assert _quadratic_in(g, m, n) == (
+                    _dense_class_count(g, m, n, 2) == full
+                )
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 10_000))
+def test_word_classes_match_the_dense_oracle(seed):
+    _check_word_classes(
+        random_uniform_graph(random.Random(seed), max_levels=3, max_width=4)
+    )
+
+
+def test_word_classes_match_the_dense_oracle_on_fixed_graphs(boolean4, nonuniform_graph):
+    for g in (boolean4, nonuniform_graph):
+        _check_word_classes(g)
+
+
+def test_word_classes_respect_budget(monkeypatch, boolean3):
+    """The classes count the words of a bidegree without building them,
+    and the count is held to LAGA_BUDGET."""
+    count = _word_count(boolean3, 3, 6)
+    assert count == len(words_of_bidegree(boolean3, 3, 6)) == 81
+    # is_quadratic_to_degree(g, 3) meets its largest bidegree at (3,5)
+    quad_count = _word_count(boolean3, 3, 5)
+    assert quad_count == max(_word_count(boolean3, 3, n) for n in range(3, 10)) == 108
+    monkeypatch.setenv("LAGA_BUDGET", str(count - 1))
+    with pytest.raises(BudgetExceeded, match=r"bidegree \(3,6\) word count"):
+        gr_dimension(boolean3, 3, 6)
+    monkeypatch.setenv("LAGA_BUDGET", str(count))
+    assert gr_dimension(boolean3, 3, 6) == len(enumerate_B_basis(boolean3, 3, 6))
+    monkeypatch.setenv("LAGA_BUDGET", str(quad_count - 1))
+    with pytest.raises(BudgetExceeded, match=r"bidegree \(3,5\) word count"):
+        is_quadratic_to_degree(boolean3, 3)
+    monkeypatch.setenv("LAGA_BUDGET", str(quad_count))
+    assert is_quadratic_to_degree(boolean3, 3) == (True, None)
+
+
+def test_word_classes_build_only_the_pads(monkeypatch, boolean3):
+    """Neither the dimension nor the quadraticity check enumerates the
+    words of the bidegree itself, only the shorter pads around a
+    generator."""
+    lengths = []
+
+    def spy(g, m, n):
+        lengths.append(m)
+        return words_of_bidegree(g, m, n)
+
+    monkeypatch.setattr("laga.gralgebra.words_of_bidegree", spy)
+    gr_dimension(boolean3, 4, 8)
+    is_quadratic_to_degree(boolean3, 4)
+    assert lengths and max(lengths) <= 2
 
 
 def test_word_enumeration_leaves_no_reference_cycles(boolean3):

@@ -133,6 +133,43 @@ def test_combine_is_the_vector_matrix_product(field, data):
             assert all(type(x) is int and 0 <= x < field.p for x in out)
 
 
+
+@given(st.sampled_from([QQ, F2, GF(3), F5, GF(7)]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_vector_and_dot_on_mixed_sparse_rows(field, data):
+    """Rows mixing ints, Fractions and bools, mostly zeros: over Q,
+    `vector` passes each Fraction through as the same object and `dot`,
+    which skips zero factors, equals the naive sum; over F_p both are
+    the reduced int arithmetic."""
+    ncols = data.draw(st.integers(0, 6))
+    nonzero = st.one_of(
+        st.integers(-8, 8),
+        st.booleans(),
+        st.fractions(-4, 4, max_denominator=5 if field.is_rational else 1),
+    )
+    zero = st.sampled_from([0, False, Fraction(0)])
+    row = st.lists(
+        st.one_of(zero, zero, nonzero), min_size=ncols, max_size=ncols
+    )
+    x, y = data.draw(row), data.draw(row)
+    vx, vy = field.vector(x), field.vector(y)
+    zeros = [0] * ncols
+    if field.is_rational:
+        assert all(type(a) is Fraction for a in vx)
+        assert all(a is b for a, b in zip(vx, x) if type(b) is Fraction)
+        for u, v in ((x, y), (vx, vy), (x, zeros)):
+            total = field.dot(u, v)
+            assert type(total) is Fraction
+            assert total == Fraction(sum(a * b for a, b in zip(u, v)))
+    else:
+        p = field.p
+        assert vx == [int(a) % p for a in x]
+        assert all(type(a) is int for a in vx)
+        for u, v in ((vx, vy), (vx, field.vector(zeros))):
+            total = field.dot(u, v)
+            assert type(total) is int
+            assert total == sum(a * b for a, b in zip(u, v)) % p
+
 @st.composite
 def two_subspaces(draw):
     field = draw(fields)
