@@ -149,7 +149,7 @@ class BigradedComponent:
     def project(self, vector) -> tuple:
         """Quotient coordinates: residual against the relation basis,
         restricted to non-pivot columns."""
-        residual = reduce_vector(vector, self.relations.basis, self.field)
+        residual = reduce_vector(vector, self.relations)
         return tuple(residual[c] for c in self.free_columns)
 
 
@@ -207,10 +207,8 @@ def component(g: LayeredGraph, m: int, n: int, field: FieldSpec = QQ) -> Bigrade
                         vec[index[word]] = c
                     gens.append(vec)
     relations = span(gens, len(words), field)
-    pivots = [
-        next(c for c, x in enumerate(row) if x != 0) for row in relations.basis
-    ]
-    free_cols = tuple(c for c in range(len(words)) if c not in set(pivots))
+    pivots = set(relations.pivots)
+    free_cols = tuple(c for c in range(len(words)) if c not in pivots)
     return BigradedComponent(m, n, field, tuple(words), relations, free_cols)
 
 
@@ -354,7 +352,7 @@ def iso_condition_check(
     return True
 
 
-def kappa_profile(g: LayeredGraph, n: int, field: FieldSpec = QQ):
+def kappa_profile(g: LayeredGraph, n: int):
     """Per-vertex (k, |S|) data for one level, for reporting."""
     out = []
     for v in g.level_vertices(n):

@@ -85,11 +85,12 @@ class FieldSpec:
 
     def inv(self, a):
         """Multiplicative inverse of a nonzero scalar."""
-        if a == 0:
+        p = self.p
+        if (a if p is None else a % p) == 0:
             raise ZeroDivisionError(f"division by zero in {self.describe()}")
-        if self.p is None:
+        if p is None:
             return 1 / Fraction(a)
-        return pow(a, self.p - 2, self.p)
+        return pow(a, p - 2, p)
 
     # Over Q the zero test skips a Fraction operation per zero entry,
     # which is most of them in the sparse relation matrices; over F_p

@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import LayeredGraph, V, memo
+from .graphs import LayeredGraph, V, _UnionFind, memo
 from .linalg import enumeration_budget
 
 Word = tuple[V, ...]
@@ -308,33 +308,6 @@ def _vertex_paths_from(g: LayeredGraph, v: V, nverts: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
-class _UnionFind:
-    """Classes of the words of one bidegree.  A word enters `parent` on
-    its first union, so words that no relation touches are counted in
-    `count`, never built; only non-root words are keys of `parent`."""
-
-    def __init__(self, size: int):
-        self.parent: dict[Word, Word] = {}
-        self.count = size
-
-    def find(self, w: Word) -> Word:
-        parent = self.parent
-        if w not in parent:
-            return w
-        root = parent[w]
-        while root in parent:
-            root = parent[root]
-        while w in parent:
-            parent[w], w = root, parent[w]
-        return root
-
-    def union(self, w1: Word, w2: Word) -> None:
-        r1, r2 = self.find(w1), self.find(w2)
-        if r1 != r2:
-            self.parent[r1] = r2
-            self.count -= 1
-
-
 def _word_count(g: LayeredGraph, m: int, n: int) -> int:
     """The number of words of bidegree (m, n), counted by length and
     weight from the level sizes, without building any word."""
@@ -402,7 +375,7 @@ def _word_classes(g: LayeredGraph, m: int, n: int, max_gen_len: int) -> _UnionFi
     return uf
 
 
-def gr_dimension(g: LayeredGraph, m: int, n: int, field: FieldSpec = QQ) -> int:
+def gr_dimension(g: LayeredGraph, m: int, n: int) -> int:
     """dim of the bidegree-(m, n) component of the quotient by the full
     relation ideal: the number of word classes under padded rewrites
     (every relation is a difference of two words)."""
@@ -430,7 +403,7 @@ def in_relation_span(
 
 
 def is_quadratic_to_degree(
-    g: LayeredGraph, d: int, field: FieldSpec = QQ
+    g: LayeredGraph, d: int
 ) -> tuple[bool, tuple[int, int] | None]:
     """Compare the quadratic closure against the full relation ideal in
     every bidegree with word length <= d; returns the first failure.
@@ -480,13 +453,11 @@ class HilbertTable:
         return "\n".join(lines)
 
 
-def gr_hilbert_table(
-    g: LayeredGraph, max_m: int, max_n: int, field: FieldSpec = QQ
-) -> HilbertTable:
+def gr_hilbert_table(g: LayeredGraph, max_m: int, max_n: int) -> HilbertTable:
     entries = []
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
-            dim = gr_dimension(g, m, n, field)
+            dim = gr_dimension(g, m, n)
             if dim:
                 entries.append(((m, n), dim))
     return HilbertTable("grA", max_m, max_n, tuple(entries))

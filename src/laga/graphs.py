@@ -130,6 +130,10 @@ def build_graph(
 ) -> LayeredGraph:
     """Validate and freeze a layered graph."""
     levels = tuple(int(x) for x in levels)
+    if any(size < 0 for size in levels):
+        raise DimensionMismatch(f"negative level size in {list(levels)}")
+    if unique_minimal and not levels:
+        raise DimensionMismatch("a unique minimal vertex needs a level 0")
     norm_edges = set()
     for t, h in edges:
         t, h = V(*t), V(*h)
@@ -271,6 +275,33 @@ def successors(g: LayeredGraph, vertex_set: Iterable[V]) -> frozenset[V]:
     return frozenset(w for t in vertex_set for w in g.succ(t))
 
 
+class _UnionFind:
+    """Classes of `size` items under union.  An item enters `parent` on
+    its first union, so items that no union touches are counted in
+    `count`, never stored; only non-root items are keys of `parent`."""
+
+    def __init__(self, size: int):
+        self.parent: dict = {}
+        self.count = size
+
+    def find(self, x):
+        parent = self.parent
+        if x not in parent:
+            return x
+        root = parent[x]
+        while root in parent:
+            root = parent[root]
+        while x in parent:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+            self.count -= 1
+
+
 @dataclass(frozen=True)
 class ClassPartition:
     """Equivalence classes of V_{n-1} under co-coverage from T in V_n."""
@@ -302,23 +333,14 @@ def class_partition(
     if n < 1:
         raise MixedLevels("vertex sets at level 0 have no partition below them")
     ground = g.level_vertices(n - 1)
-    parent = {w: w for w in ground}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(len(ground))
     for t in vertex_set:
         ws = g.succ(t)
         for a, b in zip(ws, ws[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+            uf.union(a, b)
     groups: dict[V, list[V]] = {}
     for w in ground:
-        groups.setdefault(find(w), []).append(w)
+        groups.setdefault(uf.find(w), []).append(w)
     classes = tuple(sorted(tuple(sorted(c)) for c in groups.values()))
     return ClassPartition(
         ground_level=n - 1,

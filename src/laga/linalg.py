@@ -5,14 +5,18 @@ scalars from `laga.fields` (`Fraction` over Q, an int in [0, p) over
 F_p).  Row arithmetic goes through the `FieldSpec` operations, so one
 code path serves both fields.  Subspaces are kept in canonical reduced
 row echelon form, so equality of subspaces is equality of tuples and
-canonical forms can be used as dictionary keys.
+canonical forms can be used as dictionary keys.  Each subspace carries
+the pivot columns of its basis rows, so reducing a vector against it
+never searches a row for its pivot.  Kernels and intersections are read
+off one rref of a stacked matrix, whose rows that vanish on the left
+block are already the canonical basis of the answer.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import AmbientMismatch, BudgetExceeded
@@ -59,24 +63,22 @@ def rank(rows: Sequence[Sequence], field: FieldSpec) -> int:
     return len(rref(rows, field)[0])
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Subspace:
     """A subspace of field^ambient_dim in canonical RREF basis form."""
 
     field: FieldSpec
     ambient_dim: int
     basis: tuple  # tuple of row tuples, RREF, no zero rows
+    # the pivot column of each basis row; the basis determines it
+    pivots: tuple = dataclasses.field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def __contains__(self, vector) -> bool:
-        return self.contains_vector(vector)
-
     def contains_vector(self, vector) -> bool:
-        residual = reduce_vector(vector, self.basis, self.field)
-        return all(x == 0 for x in residual)
+        return not any(reduce_vector(vector, self))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -90,9 +92,7 @@ class Subspace:
         zero = self.field.zero
         stacked = [list(row) + list(row) for row in self.basis]
         stacked += [list(row) + [zero] * n for row in other.basis]
-        reduced, _ = rref(stacked, self.field)
-        inter = [row[n:] for row in reduced if all(x == 0 for x in row[:n])]
-        return span(inter, n, self.field)
+        return _right_block(*rref(stacked, self.field), n, n, self.field)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -114,8 +114,20 @@ def span(vectors: Sequence[Sequence], ambient_dim: int, field: FieldSpec) -> Sub
     for v in vectors:
         if len(v) != ambient_dim:
             raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient_dim}")
-    reduced, _ = rref(vectors, field)
-    return Subspace(field, ambient_dim, tuple(tuple(row) for row in reduced))
+    reduced, pivots = rref(vectors, field)
+    return Subspace(field, ambient_dim, tuple(tuple(row) for row in reduced), tuple(pivots))
+
+
+def _right_block(reduced, pivots, n: int, width: int, field: FieldSpec) -> Subspace:
+    """The span of the rows of rref [A | B], A n columns wide, that vanish
+    on A, cut to B (width columns).
+
+    These are the rows with pivot at or after column n.  Cut to B they
+    keep their leading 1s in increasing columns, and each pivot column is
+    zero in every other row, so they already are the canonical basis."""
+    first = next((i for i, c in enumerate(pivots) if c >= n), len(pivots))
+    basis = tuple(tuple(row[n:]) for row in reduced[first:])
+    return Subspace(field, width, basis, tuple(c - n for c in pivots[first:]))
 
 
 def identity(d: int, field: FieldSpec) -> list[list]:
@@ -125,45 +137,42 @@ def identity(d: int, field: FieldSpec) -> list[list]:
 
 
 def full_space(ambient_dim: int, field: FieldSpec) -> Subspace:
-    return Subspace(
-        field, ambient_dim, tuple(tuple(r) for r in identity(ambient_dim, field))
-    )
+    eye = tuple(tuple(r) for r in identity(ambient_dim, field))
+    return Subspace(field, ambient_dim, eye, tuple(range(ambient_dim)))
 
 
 def zero_space(ambient_dim: int, field: FieldSpec) -> Subspace:
-    return Subspace(field, ambient_dim, ())
+    return Subspace(field, ambient_dim, (), ())
 
 
-def reduce_vector(vector, basis, field: FieldSpec):
-    """Subtract the projection onto an RREF basis; exact residual."""
+def reduce_vector(vector, space: Subspace):
+    """Subtract the projection onto a subspace's RREF basis; exact
+    residual."""
+    field = space.field
     v = field.vector(vector)
-    for row in basis:
-        pivot = next((c for c, x in enumerate(row) if x != 0), None)
-        if pivot is not None and v[pivot] != 0:
-            v = field.axpy(v, v[pivot], row)
+    for c, row in zip(space.pivots, space.basis):
+        if v[c]:
+            v = field.axpy(v, v[c], row)
     return v
 
 
 def kernel(rows: Sequence[Sequence], ncols: int, field: FieldSpec) -> Subspace:
     """Right null space {x : M x = 0} of an nrows x ncols matrix."""
-    reduced, pivots = rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = field(-row[fc])
-        basis.append(vec)
-    return span(basis, ncols, field)
+    for row in rows:
+        if len(row) != ncols:
+            raise AmbientMismatch(f"row length {len(row)} != {ncols} columns")
+    if not rows:
+        return full_space(ncols, field)
+    return left_kernel(transpose(rows), field)
 
 
 def left_kernel(rows: Sequence[Sequence], field: FieldSpec) -> Subspace:
-    """{x : x M = 0} for M given as a list of rows."""
-    nrows = len(rows)
-    if nrows == 0:
-        return zero_space(0, field)
-    return kernel(transpose(rows), nrows, field)
+    """{x : x M = 0} for M given as a list of rows: rref [M | I] keeps
+    x M = 0 in the right block of the rows that vanish on the left."""
+    ncols = len(rows[0]) if rows else 0
+    eye = identity(len(rows), field)
+    stacked = [list(row) + unit for row, unit in zip(rows, eye)]
+    return _right_block(*rref(stacked, field), ncols, len(rows), field)
 
 
 def transpose(rows: Sequence[Sequence]) -> list[list]:

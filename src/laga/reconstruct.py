@@ -61,9 +61,8 @@ from .linalg import (
     identity,
     left_kernel,
     rank,
-    reduce_vector,
-    rref,
     span,
+    zero_space,
 )
 
 F3 = GF(3)
@@ -285,18 +284,17 @@ def _fi_chain_check(view: AlgebraView, n: int, scored, chosen) -> None:
     generated by all candidates with kernel dimension >= that threshold."""
     field = view.field
     d = view.level_dims[n]
-    frows: list = []
+    acc = zero_space(d, field)
     filtration = {}
     idx = 0
     while idx < len(scored):
         k = -scored[idx][0]
         while idx < len(scored) and -scored[idx][0] == k:
             x = scored[idx][2]
-            residual = reduce_vector(x, frows, field)
-            if any(c != 0 for c in residual):
-                frows, _ = rref(frows + [list(x)], field)
+            if not acc.contains_vector(x):
+                acc = span(acc.basis + (x,), d, field)
             idx += 1
-        filtration[k] = span([list(r) for r in frows], d, field)
+        filtration[k] = acc
     for t, target in filtration.items():
         prefix = [list(x) for x, kap in chosen if kap.dim >= t]
         if span(prefix, d, field) != target:
@@ -449,14 +447,13 @@ def _exhaustive_scan(view: AlgebraView, n: int) -> list:
         scored.append((-kap.dim, pos, x, kap))
     scored.sort(key=lambda s: s[:2])
     chosen = []
-    rows: list = []
+    acc = zero_space(d, field)
     for negk, _, x, kap in scored:
         if len(chosen) == d:
             break
-        residual = reduce_vector(x, rows, field)
-        if all(c == 0 for c in residual):
+        if acc.contains_vector(x):
             continue
-        rows, _ = rref(rows + [list(x)], field)
+        acc = span(acc.basis + (x,), d, field)
         chosen.append((x, kap))
     if len(chosen) < d:
         raise VerificationFailed(f"candidates span only {len(chosen)} of {d} dimensions")
@@ -655,9 +652,10 @@ def _scalar_to_json(x):
 def _scalar_from_json(field: FieldSpec, raw):
     if type(raw) not in (int, str):
         raise DimensionMismatch(f"view entry {raw!r} is neither an int nor a string")
-    if field.is_rational:
-        return Fraction(raw)
-    return field(int(raw))
+    try:
+        return Fraction(raw) if field.is_rational else field(int(raw))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DimensionMismatch(f"view entry {raw!r} is not a scalar") from exc
 
 
 def view_to_json_dict(view: AlgebraView) -> dict:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from laga import algebra_view, build_boolean, to_json, to_json_dict, view_to_json_dict
+from laga import QQ, algebra_view, build_boolean, to_json, to_json_dict, view_to_json_dict
 from laga.cli import main
 
 
@@ -194,12 +194,16 @@ def _edited(data, path, value=None):
         ("view", ("level_dims",), 5),
         ("view", ("tensors", "2", 0, 0, 0), [1]),
         ("view", (), [1, 2]),
+        ("qview", ("tensors", "2", 0, 0, 0), "1/0"),
+        ("qview", ("tensors", "2", 0, 0, 0), "one"),
         ("graph", ("edges", 0), [[1], [0, 0]]),
         ("graph", ("edges", 0), [[1, "a"], [0, 0]]),
         ("graph", ("levels",), 5),
         ("graph", ("flags",), []),
         ("graph", ("labels",), []),
         ("graph", (), [1, 2]),
+        ("graph", (), {"levels": [1, -2], "edges": []}),
+        ("graph", (), {"levels": [], "edges": [], "flags": {"unique_minimal": True}}),
     ],
     ids=[
         "view-level-out-of-range",
@@ -211,22 +215,36 @@ def _edited(data, path, value=None):
         "view-level-dims-not-a-list",
         "view-entry-not-a-scalar",
         "view-not-an-object",
+        "view-rational-division-by-zero",
+        "view-rational-not-a-number",
         "graph-short-endpoint",
         "graph-string-index",
         "graph-levels-not-a-list",
         "graph-flags-not-an-object",
         "graph-labels-not-an-object",
         "graph-not-an-object",
+        "graph-negative-level",
+        "graph-minimal-without-levels",
     ],
 )
 def test_malformed_json_exits_three(kind, path, value, tmp_path, capsys):
     g = build_boolean(3)
-    if kind == "view":
-        data = view_to_json_dict(algebra_view(g, scramble_seed=1))
-        verb = ["reconstruct", "--family", "boolean", "-n", "3"]
-    else:
+    if kind == "graph":
         data = to_json_dict(g)
         verb = ["info"]
+    else:
+        # "qview": a view over Q, whose entries are strings
+        view = algebra_view(g, QQ) if kind == "qview" else algebra_view(g, scramble_seed=1)
+        data = view_to_json_dict(view)
+        verb = ["reconstruct", "--family", "boolean", "-n", "3"]
     bad = _graph_file(tmp_path, "bad.json", json.dumps(_edited(data, path, value)))
     assert main(verb[:1] + [bad] + verb[1:]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params", [["boolean", "-1"], ["subspace", "2", "-1"], ["complete", "1,-2"]]
+)
+def test_build_rejects_negative_sizes(params, capsys):
+    assert main(["build", *params]) == 3
     assert "error:" in capsys.readouterr().err

@@ -21,12 +21,13 @@ from laga import (
     span,
     zero_space,
 )
-from laga.linalg import matrix_apply, transpose
+from laga.linalg import matrix_apply, reduce_vector, transpose
 
 F2 = GF(2)
 F5 = GF(5)
 
 fields = st.sampled_from([QQ, F2, F5])
+all_fields = st.sampled_from([QQ, F2, GF(3), F5, GF(7)])
 
 
 @st.composite
@@ -250,3 +251,135 @@ def test_budget_env_override(monkeypatch):
 def test_fraction_exactness():
     m = [[Fraction(1, 3), Fraction(1, 7)], [Fraction(2, 3), Fraction(2, 7)]]
     assert rank(m, QQ) == 1
+
+
+# Reference algorithms: how kernels, intersections and reductions were
+# computed before subspaces carried their pivots.  The library reads its
+# answers off one rref; these take the long way round.
+
+
+def _free_column_kernel(rows, ncols, field):
+    """One kernel vector per free column of rref(M), canonicalized."""
+    reduced, pivots = rref(rows, field)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero] * ncols
+        vec[fc] = field.one
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = field(-row[fc])
+        basis.append(vec)
+    return span(basis, ncols, field)
+
+
+def _transposed_left_kernel(rows, field):
+    if not rows:
+        return zero_space(0, field)
+    return _free_column_kernel(transpose(rows), len(rows), field)
+
+
+def _filtered_intersect(a, b):
+    """Zassenhaus: keep the rref rows whose left block is zero, then span."""
+    n, zero = a.ambient_dim, a.field.zero
+    stacked = [list(r) + list(r) for r in a.basis]
+    stacked += [list(r) + [zero] * n for r in b.basis]
+    reduced, _ = rref(stacked, a.field)
+    return span([row[n:] for row in reduced if not any(row[:n])], n, a.field)
+
+
+def _pivot_scanning_reduce(vector, basis, field):
+    v = field.vector(vector)
+    for row in basis:
+        pivot = next((c for c, x in enumerate(row) if x != 0), None)
+        if pivot is not None and v[pivot] != 0:
+            v = field.axpy(v, v[pivot], row)
+    return v
+
+
+def _assert_pivots_are_leading_columns(space):
+    leading = tuple(next(c for c, x in enumerate(row) if x) for row in space.basis)
+    assert space.pivots == leading
+
+
+def _sparse_rows(data, field, nrows, ncols):
+    """nrows x ncols over field, mostly zeros; either size may be 0."""
+    if field.is_rational:
+        nonzero = st.fractions(-4, 4, max_denominator=5)
+    else:
+        nonzero = st.integers(-8, 8)
+    entry = st.one_of(st.just(0), st.just(0), nonzero)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+    return [field.vector(r) for r in rows]
+
+
+sizes = st.integers(0, 5)
+
+
+@given(all_fields, sizes, sizes, st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernels_match_the_free_column_reference(field, nrows, ncols, data):
+    m = _sparse_rows(data, field, nrows, ncols)
+    ker = kernel(m, ncols, field)
+    assert ker == _free_column_kernel(m, ncols, field)
+    _assert_pivots_are_leading_columns(ker)
+    left = left_kernel(m, field)
+    assert left == _transposed_left_kernel(m, field)
+    assert left.ambient_dim == nrows
+    _assert_pivots_are_leading_columns(left)
+
+
+@given(all_fields, sizes, sizes, sizes, st.data())
+@settings(max_examples=200, deadline=None)
+def test_intersect_matches_filter_then_span(field, na, nb, dim, data):
+    a = span(_sparse_rows(data, field, na, dim), dim, field)
+    b = span(_sparse_rows(data, field, nb, dim), dim, field)
+    for space in (a, b):
+        _assert_pivots_are_leading_columns(space)
+    inter = a.intersect(b)
+    assert inter == _filtered_intersect(a, b)
+    assert inter.ambient_dim == dim
+    _assert_pivots_are_leading_columns(inter)
+
+
+def test_intersect_of_two_zero_subspaces():
+    for dim in (0, 3):
+        zero = zero_space(dim, F5)
+        inter = zero.intersect(zero)
+        assert inter == zero and inter.pivots == ()
+
+
+@given(all_fields, sizes, sizes, st.data())
+@settings(max_examples=200, deadline=None)
+def test_reduce_vector_matches_the_pivot_scan(field, nrows, dim, data):
+    space = span(_sparse_rows(data, field, nrows, dim), dim, field)
+    vector = _sparse_rows(data, field, 1, dim)[0]
+    residual = reduce_vector(vector, space)
+    assert residual == _pivot_scanning_reduce(vector, space.basis, field)
+    assert space.contains_vector(vector) == (not any(residual))
+
+
+@pytest.mark.parametrize("field", [QQ, F2, GF(3), F5, GF(7)])
+def test_full_and_zero_space_pivots(field):
+    for dim in (0, 1, 4):
+        for space in (full_space(dim, field), zero_space(dim, field)):
+            _assert_pivots_are_leading_columns(space)
+
+
+def test_kernel_rejects_rows_of_the_wrong_length():
+    with pytest.raises(AmbientMismatch):
+        kernel([[1, 2], [1]], 2, QQ)
+    with pytest.raises(AmbientMismatch):
+        kernel([[1, 2, 3]], 2, F5)
+    with pytest.raises(AmbientMismatch):
+        kernel([[]], 1, F5)
+
+
+def test_inverse_tests_the_residue():
+    field = GF(5)
+    for a in (0, 5, -5, 10):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(a)
+    assert [field.inv(a) for a in (1, 2, 7, -1)] == [1, 3, 3, 4]
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(Fraction(0))
+    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
