@@ -1,18 +1,19 @@
 """The bigraded quotient algebra on positive-level vertices.
 
 Degree-2 relations kill products along non-edges and successor sums.
-`component` computes any bidegree by exact linear algebra, which gives
-the Hilbert tables.  Degree-1 times degree-1 products, the structure
-constants, come in closed form from `degree2_product`, one block per
-left vertex; the generic component is its test oracle.  The kappa
-subspace of an element (kernel of left multiplication) has a purely
-combinatorial description via class sums, which is the primary path;
-the kernel of the structure constants serves as an independent oracle.
+The non-edge relations leave only the vertex paths of a bidegree, so
+`component` computes any bidegree by exact linear algebra over its
+paths, which gives the Hilbert tables.  Degree-1 times degree-1
+products, the structure constants, come in closed form from
+`degree2_product`, one block per left vertex; the generic component is
+its test oracle.  The kappa subspace of an element (kernel of left
+multiplication) has a purely combinatorial description via class sums,
+which is the primary path; the kernel of the structure constants serves
+as an independent oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .fields import QQ, FieldSpec
 from .graphs import LayeredGraph, V, class_partition, is_uniform
-from .gralgebra import HilbertTable
+from .gralgebra import HilbertTable, _vertex_paths_from
 from .linalg import (
     Subspace,
     enumeration_budget,
@@ -132,8 +133,10 @@ def gr_quadratic_space(g: LayeredGraph, n: int, field: FieldSpec = QQ) -> Subspa
 
 @dataclass(frozen=True)
 class BigradedComponent:
-    """One bidegree slice: its word basis, the relation span inside the
-    word-coordinate space, and the resulting dimension."""
+    """One bidegree slice in the basis of its vertex paths (words whose
+    adjacent letters are all edges; every other word is killed by a
+    non-edge relation): the relation span inside the path-coordinate
+    space, and the resulting dimension."""
 
     m: int
     n: int
@@ -153,63 +156,39 @@ class BigradedComponent:
         return tuple(residual[c] for c in self.free_columns)
 
 
-def _component_words(g: LayeredGraph, m: int, n: int) -> list[Word]:
-    """Words that survive the non-edge relations: levels must descend by
-    one, so the start level is forced by (m, n)."""
-    twice = 2 * n + m * (m - 1)
-    if twice % (2 * m) != 0:
-        return []
-    s = twice // (2 * m)
-    if s - m + 1 < 1 or s > g.top_level:
-        return []
-    level_ranges = [g.level_vertices(s - i) for i in range(m)]
-    count = 1
-    for lv in level_ranges:
-        count *= len(lv)
-    if count > enumeration_budget():
-        raise BudgetExceeded(f"bidegree ({m},{n}) has {count} words")
-    return [tuple(word) for word in itertools.product(*level_ranges)]
-
-
 def component(g: LayeredGraph, m: int, n: int, field: FieldSpec = QQ) -> BigradedComponent:
-    """Exact bidegree-(m, n) component of the quotient algebra."""
-    if m == 1:
-        words = tuple((v,) for v in g.level_vertices(n)) if 1 <= n <= g.top_level else ()
-        rel = zero_space(len(words), field)
-        return BigradedComponent(m, n, field, words, rel, tuple(range(len(words))))
-    words = _component_words(g, m, n)
-    if not words:
-        return BigradedComponent(m, n, field, (), zero_space(0, field), ())
-    index = {w: i for i, w in enumerate(words)}
-    start_level = words[0][0].level
-    gens: list[list] = []
-    for pos in range(m - 1):
-        lvl = start_level - pos
-        pair_space = relation_space(g, lvl, field)
-        width = g.levels[lvl - 1]
-        if pair_space.dim == 0:
-            continue
-        left_levels = [g.level_vertices(start_level - i) for i in range(pos)]
-        right_levels = [
-            g.level_vertices(start_level - i) for i in range(pos + 2, m)
-        ]
-        for lword in itertools.product(*left_levels):
-            for rword in itertools.product(*right_levels):
-                for rel_row in pair_space.basis:
-                    vec = [field.zero] * len(words)
-                    for flat, c in enumerate(rel_row):
-                        if c == 0:
-                            continue
-                        v = V(lvl, flat // width)
-                        w = V(lvl - 1, flat % width)
-                        # distinct (v, w) give distinct words: no sums
-                        word = tuple(lword) + (v, w) + tuple(rword)
-                        vec[index[word]] = c
-                    gens.append(vec)
-    relations = span(gens, len(words), field)
+    """Exact bidegree-(m, n) component of the quotient algebra.
+
+    A path descends one level per letter, so (m, n) fixes its start
+    level s.  On paths, the successor sum of the letter before position
+    j is the sum of the paths that agree off position j: one 0/1
+    relation row per group."""
+    twice = 2 * n + m * (m - 1)  # paths from level s have 2n = 2ms - m(m-1)
+    s = twice // (2 * m) if m > 0 and twice % (2 * m) == 0 else 0
+    paths: tuple[Word, ...] = ((),) if (m, n) == (0, 0) else ()
+    if 0 < m <= s <= g.top_level:
+        # count the paths level by level before building any
+        count = dict.fromkeys(g.level_vertices(s - m + 1), 1)
+        for lvl in range(s - m + 2, s + 1):
+            count = {v: sum(count[w] for w in g.succ(v)) for v in g.level_vertices(lvl)}
+        total = sum(count.values())
+        if total > enumeration_budget():
+            raise BudgetExceeded(f"bidegree ({m},{n}) has {total} paths")
+        paths = tuple(p for v in g.level_vertices(s) for p in _vertex_paths_from(g, v, m))
+    gens = []
+    for j in range(1, m):
+        groups: dict[Word, list] = {}
+        for i, p in enumerate(paths):
+            groups.setdefault(p[:j] + p[j + 1 :], []).append(i)
+        for cols in groups.values():
+            row = [field.zero] * len(paths)
+            for c in cols:
+                row[c] = field.one
+            gens.append(row)
+    relations = span(gens, len(paths), field)
     pivots = set(relations.pivots)
-    free_cols = tuple(c for c in range(len(words)) if c not in pivots)
-    return BigradedComponent(m, n, field, tuple(words), relations, free_cols)
+    free_cols = tuple(c for c in range(len(paths)) if c not in pivots)
+    return BigradedComponent(m, n, field, paths, relations, free_cols)
 
 
 def b_dimension(g: LayeredGraph, m: int, n: int, field: FieldSpec = QQ) -> int:

@@ -316,10 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LagaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (LagaError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

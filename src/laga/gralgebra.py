@@ -311,7 +311,7 @@ def _vertex_paths_from(g: LayeredGraph, v: V, nverts: int) -> tuple[Word, ...]:
 def _word_count(g: LayeredGraph, m: int, n: int) -> int:
     """The number of words of bidegree (m, n), counted by length and
     weight from the level sizes, without building any word."""
-    if n < 0:
+    if m < 0 or n < 0:
         return 0
     top = g.top_level
     ways = [1] + [0] * n  # ways[w]: words of the current length, weight w

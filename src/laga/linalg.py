@@ -35,12 +35,15 @@ def rref(rows: Sequence[Sequence], field: FieldSpec):
     """Reduced row echelon form.
 
     Returns (rows, pivot_columns); zero rows are dropped, so the row
-    count equals the rank.
+    count equals the rank.  Rows of different lengths raise
+    `AmbientMismatch`.
     """
     m = [field.vector(row) for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
+    if any(len(row) != ncols for row in m):
+        raise AmbientMismatch(f"ragged matrix: row lengths {sorted({len(r) for r in m})}")
     pivots = []
     r = 0
     for c in range(ncols):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from laga import (
     QQ,
     AmbientMismatch,
     BElement,
+    BudgetExceeded,
     DimensionMismatch,
     FreeElement,
     LevelMismatch,
@@ -18,12 +20,14 @@ from laga import (
     V,
     b_dimension,
     b_hilbert_table,
+    build_boolean,
     build_graph,
     class_partition,
     component,
     degree2_product,
     element,
     full_space,
+    gr_dimension,
     gr_quadratic_space,
     iso_condition_check,
     k_stats,
@@ -35,6 +39,7 @@ from laga import (
     random_layered_graph,
     random_uniform_graph,
     relation_space,
+    span,
     vertex_element,
 )
 
@@ -113,14 +118,23 @@ def test_kappa_vertex_matches_class_sums(boolean3):
 
 
 def _assert_closed_form(g, field):
+    """The closed form is the projected word on every edge v*w, which
+    the component's path basis holds, and zero on every non-edge."""
     for n in range(2, g.top_level + 1):
         comp = component(g, 2, 2 * n - 1, field)
+        edges = set(comp.basis_words)
         for pos, (v, w) in enumerate(comp.basis_words):
             word = [field.zero] * len(comp.basis_words)
             word[pos] = field.one
             x = vertex_element(g, v, field).coords
             y = vertex_element(g, w, field).coords
             assert degree2_product(g, n, x, y, field) == comp.project(word)
+        for v in g.level_vertices(n):
+            for w in g.level_vertices(n - 1):
+                if (v, w) not in edges:
+                    x = vertex_element(g, v, field).coords
+                    y = vertex_element(g, w, field).coords
+                    assert not any(degree2_product(g, n, x, y, field))
 
 
 @settings(max_examples=40, deadline=None)
@@ -244,3 +258,78 @@ def test_hilbert_table_matches_dimensions(boolean3):
     assert table.as_dict()[(1, 1)] == 3
     assert table.as_dict()[(2, 3)] == 3
     assert table.render().startswith("m\\n")
+
+
+def _dense_word_dimension(g, m, n, field):
+    """Reference algorithm: pad every degree-2 relation row with every
+    left and right word of the bidegree, over all level-descending
+    words, and reduce the lot with one dense rref."""
+    twice = 2 * n + m * (m - 1)
+    if twice % (2 * m) != 0:
+        return 0
+    s = twice // (2 * m)
+    if s - m + 1 < 1 or s > g.top_level:
+        return 0
+    levels = [g.level_vertices(s - i) for i in range(m)]
+    words = list(itertools.product(*levels))
+    index = {w: i for i, w in enumerate(words)}
+    gens = []
+    for pos in range(m - 1):
+        lvl = s - pos
+        width = g.levels[lvl - 1]
+        rows = relation_space(g, lvl, field).basis
+        for lword in itertools.product(*levels[:pos]):
+            for rword in itertools.product(*levels[pos + 2 :]):
+                for row in rows:
+                    vec = [field.zero] * len(words)
+                    for flat, c in enumerate(row):
+                        if c:
+                            pair = (V(lvl, flat // width), V(lvl - 1, flat % width))
+                            vec[index[lword + pair + rword]] = c
+                    gens.append(vec)
+    return len(words) - span(gens, len(words), field).dim
+
+
+def _assert_paths_match_dense_words(g, field):
+    for m in range(1, 5):
+        for n in range(m, m * g.top_level + 1):
+            assert b_dimension(g, m, n, field) == _dense_word_dimension(g, m, n, field)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), fields)
+def test_path_basis_matches_the_dense_word_reference(seed, field):
+    """On graphs that need not be uniform, where some vertices lose all
+    their out-edges, the path basis gives the dense-word dimension."""
+    rng = random.Random(seed)
+    g = random_layered_graph(rng, max_levels=5, max_width=3)
+    bare = {v for v in g.positive_vertices() if rng.random() < 0.25}
+    g = build_graph(g.levels, [(t, h) for t, h in g.edges if t not in bare])
+    _assert_paths_match_dense_words(g, field)
+
+
+def test_path_basis_on_nonuniform_and_nested_graphs(nonuniform_graph, nested_graph):
+    for g in (nonuniform_graph, nested_graph):
+        for field in (QQ, F2, F3):
+            _assert_paths_match_dense_words(g, field)
+
+
+def test_component_budget_counts_paths(monkeypatch, boolean3):
+    # Boolean 3 at (3,6): 1 * 3 * 2 = 6 paths from the top vertex
+    monkeypatch.setenv("LAGA_BUDGET", "5")
+    with pytest.raises(BudgetExceeded, match=r"bidegree \(3,6\) has 6 paths"):
+        component(boolean3, 3, 6)
+    monkeypatch.setenv("LAGA_BUDGET", "6")
+    assert len(component(boolean3, 3, 6).basis_words) == 6
+
+
+@pytest.mark.parametrize(
+    "dimension", [b_dimension, gr_dimension], ids=["B", "grA"]
+)
+def test_boundary_bidegrees(dimension):
+    """(0, 0) holds the empty word; every other bidegree with m <= 0 or
+    n < 0 is empty."""
+    g = build_boolean(3)
+    assert dimension(g, 0, 0) == 1
+    for m, n in [(0, 1), (0, 5), (0, -1), (-1, 0), (-1, 3), (-2, -2), (1, -1), (2, -3)]:
+        assert dimension(g, m, n) == 0

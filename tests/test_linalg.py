@@ -383,3 +383,16 @@ def test_inverse_tests_the_residue():
     with pytest.raises(ZeroDivisionError):
         QQ.inv(Fraction(0))
     assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+
+
+def test_ragged_matrices_raise():
+    # a ragged matrix has no column count: every entry point that takes
+    # rows refuses it instead of truncating or indexing past a row
+    with pytest.raises(AmbientMismatch):
+        left_kernel([[1, 2], [1]], QQ)
+    with pytest.raises(AmbientMismatch):
+        rref([[1, 2], [1]], QQ)
+    with pytest.raises(AmbientMismatch):
+        rref([[1], [1, 2]], QQ)
+    with pytest.raises(AmbientMismatch):
+        rank([[1], [1, 2]], F5)
