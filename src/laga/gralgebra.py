@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import LayeredGraph, V, _UnionFind, memo
+from .graphs import LayeredGraph, V, _reach_map, _UnionFind, memo
 from .linalg import enumeration_budget
 
 Word = tuple[V, ...]
@@ -94,7 +94,7 @@ class FreeElement:
             return "0"
         bits = []
         for w, c in sorted(self.terms.items()):
-            name = "*".join(f"({v.level},{v.index})" for v in w) or "1"
+            name = "*".join(f"({v.level},{v.index})" for v in w)
             bits.append(f"{c}{name}")
         return " + ".join(bits)
 
@@ -238,35 +238,49 @@ def normalize(g: LayeredGraph, word: Word) -> Word:
 
 def enumerate_B_basis(g: LayeredGraph, m: int, n: int) -> list[PairSequence]:
     """All non-covering pair sequences of total word length m and vertex
-    weight n, in canonical order."""
+    weight n, in canonical order.  The number of sequences is held to
+    LAGA_BUDGET."""
+    budget = enumeration_budget()
+    reach = _reach_map(g)
+    # every candidate pair once, in the canonical order, with its weight
+    # and the vertices it covers: a pair (v, k) may not be followed by a
+    # pair starting k levels below v at a vertex that v reaches
+    table = [
+        (
+            (v, k),
+            k,
+            pair_weight((v, k)),
+            frozenset(w for w in reach[v] if w.level == v.level - k),
+        )
+        for v in g.positive_vertices()
+        for k in range(1, min(v.level, m) + 1)
+    ]
     # an explicit stack, not a recursive closure: a closure that calls
     # itself is a reference cycle, which would keep `out` alive until the
     # cyclic collector ran
     out: list[PairSequence] = []
-    verts = g.positive_vertices()
-    stack: list[tuple[PairSequence, int, int]] = [((), 0, 0)]
+    stack: list[tuple[PairSequence, int, int, frozenset]] = [((), 0, 0, frozenset())]
     while stack:
-        prefix, length, weight = stack.pop()
+        prefix, length, weight, covered = stack.pop()
         if length == m and weight == n:
             out.append(prefix)
+            if len(out) > budget:
+                raise BudgetExceeded(f"bidegree ({m},{n}) pair sequence count")
             continue
         if length >= m or weight >= n:
             continue
-        children = []
-        for v in verts:
-            for k in range(1, min(v.level, m - length) + 1):
-                w = pair_weight((v, k))
-                if weight + w > n:
-                    continue
-                if prefix and covers_pair(g, prefix[-1], (v, k)):
-                    continue
-                children.append((prefix + ((v, k),), length + k, weight + w))
-        stack.extend(reversed(children))
+        stack.extend(
+            (prefix + (pair,), length + k, weight + w, covers)
+            for pair, k, w, covers in reversed(table)
+            if length + k <= m and weight + w <= n and pair[0] not in covered
+        )
     return out
 
 
 def words_of_bidegree(g: LayeredGraph, m: int, n: int) -> list[Word]:
     """All words over V_+ of length m and vertex weight n."""
+    if m < 0:
+        return []
     if m == 0:
         return [()] if n == 0 else []
     verts = g.positive_vertices()
@@ -365,12 +379,13 @@ def _union_padded_pairs(
                             uf.union(lbase + rword, lother + rword)
 
 
-def _word_classes(g: LayeredGraph, m: int, n: int, max_gen_len: int) -> _UnionFind:
+def _word_classes(g: LayeredGraph, m: int, n: int) -> _UnionFind:
     """The word classes of bidegree (m, n) under padded generators of
-    length up to max_gen_len.  The words are counted, not built: only
-    those a padded generator touches enter the union-find."""
+    every length, for the dimension count and the relation-span test.
+    The words are counted, not built: only those a padded generator
+    touches enter the union-find."""
     uf = _UnionFind(_word_count(g, m, n))
-    for gen_len in range(2, min(max_gen_len, m) + 1):
+    for gen_len in range(2, m + 1):
         _union_padded_pairs(g, m, n, uf, gen_len)
     return uf
 
@@ -379,7 +394,7 @@ def gr_dimension(g: LayeredGraph, m: int, n: int) -> int:
     """dim of the bidegree-(m, n) component of the quotient by the full
     relation ideal: the number of word classes under padded rewrites
     (every relation is a difference of two words)."""
-    return _word_classes(g, m, n, m).count
+    return _word_classes(g, m, n).count
 
 
 def in_relation_span(
@@ -394,7 +409,7 @@ def in_relation_span(
             raise DimensionMismatch(
                 f"word {w} is not a word of bidegree ({m},{n})"
             )
-    uf = _word_classes(g, m, n, m)
+    uf = _word_classes(g, m, n)
     sums: dict[Word, object] = {}
     for w, c in el.terms.items():
         root = uf.find(w)
@@ -408,27 +423,56 @@ def is_quadratic_to_degree(
     """Compare the quadratic closure against the full relation ideal in
     every bidegree with word length <= d; returns the first failure.
 
-    Both ideals are spanned by word differences, so the comparison is a
-    class count: merge words along padded degree-2 generators first,
-    then along the longer generators, and any extra merge is a relation
-    outside the quadratic closure."""
-    top_weight = g.top_level
-    for m in range(3, d + 1):
-        for n in range(m, m * top_weight + 1):
-            if not _quadratic_in(g, m, n):
-                return False, (m, n)
+    Only the unpadded generators need checking.  Padding a chain of
+    degree-2 rewrites on both sides gives a chain of degree-2 rewrites,
+    so a generator in the quadratic closure stays there when padded;
+    and a padded generator outside the closure has an unpadded one
+    outside it, of no greater length.  So the first failing bidegree is
+    (L, n) for the least length L at which some vertex has two L-vertex
+    paths that degree-2 rewrites do not join, and n the least weight of
+    such a vertex's paths.  Every L-vertex path from v has the weight
+    `pair_weight((v, L))`, which grows with the level of v, so the
+    levels are tried in ascending order."""
+    for length in range(3, d + 1):
+        for level in range(length, g.top_level + 1):
+            for v in g.level_vertices(level):
+                if not _degree2_connects(g, v, length):
+                    return False, (length, pair_weight((v, length)))
     return True, None
 
 
-def _quadratic_in(g: LayeredGraph, m: int, n: int) -> bool:
-    """Whether the longer generators merge no word classes of bidegree
-    (m, n) beyond the padded degree-2 ones.  A function of its own, so
-    one bidegree's classes are freed before the next one's are built."""
-    uf = _word_classes(g, m, n, 2)
-    quad_count = uf.count
-    for gen_len in range(3, m + 1):
-        _union_padded_pairs(g, m, n, uf, gen_len)
-    return uf.count == quad_count
+def _degree2_connects(g: LayeredGraph, v: V, m: int) -> bool:
+    """Whether degree-2 rewrites join every m-vertex path from v.
+
+    A degree-2 rewrite replaces word[i+1], a positive successor of
+    word[i], by any positive successor of word[i].  A stack search from
+    the first path reaches that path's class; the number of words it
+    reaches is held to LAGA_BUDGET."""
+    paths = _vertex_paths_from(g, v, m)
+    if len(paths) < 2:
+        return True
+    pos_succ = {
+        u: tuple(w for w in g.succ(u) if w.level > 0) for u in g.positive_vertices()
+    }
+    budget = enumeration_budget()
+    seen = {paths[0]}
+    stack = [paths[0]]
+    while stack:
+        word = stack.pop()
+        for i in range(m - 1):
+            options = pos_succ[word[i]]
+            if word[i + 1] not in options:
+                continue
+            for w in options:
+                nxt = word[: i + 1] + (w,) + word[i + 2 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        if len(seen) > budget:
+            raise BudgetExceeded(
+                f"bidegree ({m},{word_weight(paths[0])}) rewrite search"
+            )
+    return seen.issuperset(paths)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ from laga import (
     V,
     build_boolean,
     build_complete_layered,
+    build_graph,
+    build_subspace_lattice,
     distinguished_path,
     e_tilde,
     enumerate_B_basis,
@@ -26,6 +28,7 @@ from laga import (
     monomial_m,
     normalize,
     pair_weight,
+    random_layered_graph,
     random_uniform_graph,
     sequence_monomial,
     skeleton,
@@ -33,7 +36,7 @@ from laga import (
     word_weight,
     words_of_bidegree,
 )
-from laga.gralgebra import _generator_word_pairs, _quadratic_in, _word_count
+from laga.gralgebra import _generator_word_pairs, _word_count
 
 
 def test_distinguished_path_follows_least_successor(boolean3):
@@ -151,6 +154,18 @@ def test_words_of_bidegree(boolean3):
     assert words_of_bidegree(boolean3, 2, 1) == []
 
 
+def test_words_of_negative_length_agree_with_the_count(boolean3):
+    for n in (-1, 0, 1, 3):
+        assert words_of_bidegree(boolean3, -1, n) == []
+        assert _word_count(boolean3, -1, n) == 0
+
+
+def test_free_element_repr_renders_the_empty_word_as_its_coefficient():
+    assert repr(FreeElement.scalar(2)) == "2"
+    assert repr(FreeElement.scalar(1) + FreeElement.word((V(1, 0),))) == "1 + 1(1,0)"
+    assert repr(FreeElement.word((V(2, 0), V(1, 0)))) == "1(2,0)*(1,0)"
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.integers(0, 10_000))
 def test_words_of_bidegree_is_the_filtered_product(seed):
@@ -179,6 +194,14 @@ def test_words_of_bidegree_respects_budget(monkeypatch, boolean3):
     assert len(words_of_bidegree(boolean3, 2, 3)) == 18
 
 
+def test_pair_sequences_respect_budget(monkeypatch, boolean3):
+    monkeypatch.setenv("LAGA_BUDGET", "63")
+    with pytest.raises(BudgetExceeded, match=r"bidegree \(3,6\) pair sequence count"):
+        enumerate_B_basis(boolean3, 3, 6)
+    monkeypatch.setenv("LAGA_BUDGET", "64")
+    assert len(enumerate_B_basis(boolean3, 3, 6)) == 64
+
+
 def _dense_class_count(g, m, n, max_gen_len):
     """Brute-force oracle of the word classes: a list union-find over
     every word of the bidegree, merging each word with every rewrite of
@@ -205,15 +228,16 @@ def _dense_class_count(g, m, n, max_gen_len):
 
 
 def _check_word_classes(g):
+    first_failure = None
     for m in range(0, 5):
         for n in range(0, m * g.top_level + 2):
             assert _word_count(g, m, n) == len(words_of_bidegree(g, m, n))
             full = _dense_class_count(g, m, n, m)
             assert gr_dimension(g, m, n) == full
-            if m >= 3:
-                assert _quadratic_in(g, m, n) == (
-                    _dense_class_count(g, m, n, 2) == full
-                )
+            if m >= 3 and first_failure is None and _dense_class_count(g, m, n, 2) != full:
+                first_failure = (m, n)
+    expected = (True, None) if first_failure is None else (False, first_failure)
+    assert is_quadratic_to_degree(g, 4) == expected
 
 
 @settings(max_examples=8, deadline=None)
@@ -229,30 +253,83 @@ def test_word_classes_match_the_dense_oracle_on_fixed_graphs(boolean4, nonunifor
         _check_word_classes(g)
 
 
+def _two_level_witness():
+    """Vertices failing at length 3 on two levels: (3,0) covers (2,0)
+    and (2,1), whose positive successors are disjoint, and so does (4,0)
+    with (3,1) and (3,2) above (2,2) and (2,3)."""
+    return build_graph(
+        [1, 2, 4, 3, 1],
+        [
+            ((1, 0), (0, 0)),
+            ((1, 1), (0, 0)),
+            ((2, 0), (1, 0)),
+            ((2, 1), (1, 1)),
+            ((2, 2), (1, 0)),
+            ((2, 3), (1, 1)),
+            ((3, 0), (2, 0)),
+            ((3, 0), (2, 1)),
+            ((3, 1), (2, 2)),
+            ((3, 2), (2, 3)),
+            ((4, 0), (3, 1)),
+            ((4, 0), (3, 2)),
+        ],
+        unique_minimal=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "make, where",
+    [
+        (lambda: random_layered_graph(random.Random(105), max_levels=4, max_width=3), (3, 6)),
+        (lambda: random_layered_graph(random.Random(243), max_levels=4, max_width=3), (3, 6)),
+        # the level-3 failure at weight 6 comes before the level-4 one at 9
+        (_two_level_witness, (3, 6)),
+        (
+            lambda: random_layered_graph(
+                random.Random(290), max_levels=4, max_width=3, unique_minimal=False
+            ),
+            (3, 6),
+        ),
+    ],
+    ids=["random105", "random243", "two_levels", "no_unique_minimal"],
+)
+def test_first_quadraticity_failure_matches_the_dense_oracle(make, where):
+    g = make()
+    assert is_quadratic_to_degree(g, 4) == (False, where)
+    _check_word_classes(g)
+
+
+def test_quadratic_at_the_scale_rungs():
+    assert is_quadratic_to_degree(build_boolean(6), 4) == (True, None)
+    assert is_quadratic_to_degree(build_subspace_lattice(2, 4), 4) == (True, None)
+
+
 def test_word_classes_respect_budget(monkeypatch, boolean3):
     """The classes count the words of a bidegree without building them,
-    and the count is held to LAGA_BUDGET."""
+    and the count is held to LAGA_BUDGET; so is the number of words the
+    quadraticity check's rewrite search reaches."""
     count = _word_count(boolean3, 3, 6)
     assert count == len(words_of_bidegree(boolean3, 3, 6)) == 81
-    # is_quadratic_to_degree(g, 3) meets its largest bidegree at (3,5)
-    quad_count = _word_count(boolean3, 3, 5)
-    assert quad_count == max(_word_count(boolean3, 3, n) for n in range(3, 10)) == 108
     monkeypatch.setenv("LAGA_BUDGET", str(count - 1))
     with pytest.raises(BudgetExceeded, match=r"bidegree \(3,6\) word count"):
         gr_dimension(boolean3, 3, 6)
     monkeypatch.setenv("LAGA_BUDGET", str(count))
     assert gr_dimension(boolean3, 3, 6) == len(enumerate_B_basis(boolean3, 3, 6))
-    monkeypatch.setenv("LAGA_BUDGET", str(quad_count - 1))
-    with pytest.raises(BudgetExceeded, match=r"bidegree \(3,5\) word count"):
+    # at d = 3 only the top vertex has 3-vertex paths, and degree-2
+    # rewrites of its first path reach all 3 * 3 words (top, a, b) of
+    # bidegree (3,6)
+    monkeypatch.setenv("LAGA_BUDGET", "8")
+    with pytest.raises(BudgetExceeded, match=r"bidegree \(3,6\) rewrite search"):
         is_quadratic_to_degree(boolean3, 3)
-    monkeypatch.setenv("LAGA_BUDGET", str(quad_count))
+    monkeypatch.setenv("LAGA_BUDGET", "9")
     assert is_quadratic_to_degree(boolean3, 3) == (True, None)
 
 
 def test_word_classes_build_only_the_pads(monkeypatch, boolean3):
-    """Neither the dimension nor the quadraticity check enumerates the
-    words of the bidegree itself, only the shorter pads around a
-    generator."""
+    """The dimension count enumerates only the shorter pads around a
+    generator, never the words of the bidegree itself; the quadraticity
+    check walks degree-2 rewrites from the unpadded generators and
+    enumerates no words at all."""
     lengths = []
 
     def spy(g, m, n):
@@ -261,8 +338,10 @@ def test_word_classes_build_only_the_pads(monkeypatch, boolean3):
 
     monkeypatch.setattr("laga.gralgebra.words_of_bidegree", spy)
     gr_dimension(boolean3, 4, 8)
-    is_quadratic_to_degree(boolean3, 4)
     assert lengths and max(lengths) <= 2
+    lengths.clear()
+    is_quadratic_to_degree(boolean3, 4)
+    assert lengths == []
 
 
 def test_word_enumeration_leaves_no_reference_cycles(boolean3):
