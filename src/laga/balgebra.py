@@ -248,14 +248,10 @@ def degree2_product(g: LayeredGraph, n: int, x, y, field: FieldSpec = QQ) -> tup
     return tuple(out)
 
 
-def kappa_kernel(g: LayeredGraph, a: BElement, field: FieldSpec | None = None) -> Subspace:
+def kappa_kernel(g: LayeredGraph, a: BElement) -> Subspace:
     """Oracle path: kernel of left multiplication into the degree-2
     component, computed from structure constants."""
-    field = field or a.field
-    if field != a.field:
-        raise UnsupportedField(
-            f"{a.field.describe()} element, {field.describe()} kernel"
-        )
+    field = a.field
     n = a.level
     if n < 1:
         raise MixedLevels("kappa needs a positive level")

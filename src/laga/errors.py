@@ -46,7 +46,8 @@ class DimensionMismatch(LagaError):
 
 
 class LevelMismatch(LagaError):
-    """Two elements expected at the same level are not."""
+    """A level or vertex lies outside the graph or view, or two elements
+    expected at the same level are not."""
 
 
 class NonNestingViolated(LagaError):

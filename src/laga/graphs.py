@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     EdgeLevelMismatch,
     EmptySuccessor,
+    LevelMismatch,
     MixedLevels,
     MultipleMinimal,
     UnsupportedField,
@@ -67,6 +68,8 @@ class LayeredGraph:
         return len(self.levels) - 1
 
     def level_vertices(self, n: int) -> list[V]:
+        if not 0 <= n < len(self.levels):
+            raise LevelMismatch(f"level {n} outside 0..{self.top_level}")
         return [V(n, i) for i in range(self.levels[n])]
 
     def vertices(self) -> list[V]:
@@ -332,6 +335,8 @@ def class_partition(
     n = set_level if set_level is not None else level
     if n < 1:
         raise MixedLevels("vertex sets at level 0 have no partition below them")
+    if n > g.top_level or any(not 0 <= v.index < g.levels[n] for v in vertex_set):
+        raise LevelMismatch(f"vertices {sorted(vertex_set)} at level {n} are not in the graph")
     ground = g.level_vertices(n - 1)
     uf = _UnionFind(len(ground))
     for t in vertex_set:
@@ -374,27 +379,19 @@ def check_identities(g: LayeredGraph, vertex_set: Iterable[V], *, level: int | N
     return report
 
 
-def is_uniform(g: LayeredGraph, *, oracle: bool = False):
-    """(True, None) or (False, witness vertex with its split classes).
-
-    With oracle=True, uses down-up-sequence connectivity on S(v) instead
-    of the class-partition count; both must agree.
-    """
+def is_uniform(g: LayeredGraph):
+    """(True, None) or (False, witness vertex with its split classes),
+    read off one class partition per vertex."""
     for n in range(2, len(g.levels)):
         for v in g.level_vertices(n):
             sv = g.succ(v)
             if len(sv) <= 1:
                 continue
-            if oracle:
-                linked = _down_up_connected(g, sv)
-            else:
-                # S(v) is linked iff the classes of V_{n-2} under
-                # co-coverage from S(v) meet S(S(v)) exactly once
-                part = class_partition(g, sv)
-                linked = part.k_meeting == 1
-            if not linked:
+            # S(v) is linked iff the classes of V_{n-2} under
+            # co-coverage from S(v) meet S(S(v)) exactly once
+            part = class_partition(g, sv)
+            if part.k_meeting != 1:
                 groups: dict[object, list[V]] = {}
-                part = class_partition(g, sv)
                 cls_of = {w: i for i, c in enumerate(part.classes) for w in c}
                 for u in sv:
                     su = g.succ(u)
@@ -403,21 +400,6 @@ def is_uniform(g: LayeredGraph, *, oracle: bool = False):
                 split = tuple(tuple(c) for c in groups.values())
                 return False, (v, split)
     return True, None
-
-
-def _down_up_connected(g: LayeredGraph, sv: tuple[V, ...]) -> bool:
-    """BFS on S(v) with x ~ x' when S(x) and S(x') intersect."""
-    sv = list(sv)
-    succ_sets = {x: set(g.succ(x)) for x in sv}
-    seen = {sv[0]}
-    frontier = [sv[0]]
-    while frontier:
-        x = frontier.pop()
-        for y in sv:
-            if y not in seen and succ_sets[x] & succ_sets[y]:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == len(sv)
 
 
 def is_non_nesting(g: LayeredGraph):
@@ -571,11 +553,12 @@ def are_isomorphic(
 
 def upper_part(g: LayeredGraph, from_level: int) -> LayeredGraph:
     """Levels >= from_level re-based so that from_level becomes level 0."""
-    shift = from_level
+    if not 0 <= from_level <= g.top_level:
+        raise EdgeLevelMismatch(f"level {from_level} outside 0..{g.top_level}")
     return build_graph(
         g.levels[from_level:],
         [
-            (V(t.level - shift, t.index), V(h.level - shift, h.index))
+            (V(t.level - from_level, t.index), V(h.level - from_level, h.index))
             for t, h in g.edges
             if h.level >= from_level
         ],

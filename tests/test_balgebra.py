@@ -65,8 +65,6 @@ def test_mixing_fields_raises(boolean3):
     with pytest.raises(UnsupportedField):
         a + b
     with pytest.raises(UnsupportedField):
-        kappa_kernel(boolean3, a, GF(5))
-    with pytest.raises(UnsupportedField):
         F3(Fraction(1, 2))
     with pytest.raises(AmbientMismatch):
         full_space(3, F3).intersect(full_space(3, GF(5)))

@@ -67,6 +67,22 @@ def test_kappa(boolean3_file, capsys):
     assert [row["k"] for row in rows] == [2, 2, 2]
 
 
+@pytest.mark.parametrize(
+    "level, message",
+    [
+        ("9", "level 9 outside 0..3"),
+        ("4", "level 4 outside 0..3"),
+        ("-1", "level -1 outside 0..3"),
+        ("0", "level 0"),
+    ],
+)
+def test_kappa_outside_the_graph_exits_three(boolean3_file, level, message, capsys):
+    assert main(["kappa", boolean3_file, "--level", level]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_uniform(boolean3_file, tmp_path, nonuniform_graph, capsys):
     assert main(["uniform", boolean3_file]) == 0
     assert capsys.readouterr().out.strip() == "uniform"

@@ -10,6 +10,7 @@ from laga import (
     BudgetExceeded,
     EdgeLevelMismatch,
     EmptySuccessor,
+    LevelMismatch,
     MixedLevels,
     MultipleMinimal,
     UnsupportedField,
@@ -125,11 +126,32 @@ def test_uniform_examples(boolean3, subspace23, nonuniform_graph):
     assert not ok and witness[0] == V(3, 0)
 
 
+def _down_up_connected(g, sv):
+    """BFS on S(v) with x ~ x' when S(x) and S(x') intersect."""
+    sv = list(sv)
+    succ_sets = {x: set(g.succ(x)) for x in sv}
+    seen = {sv[0]}
+    frontier = [sv[0]]
+    while frontier:
+        x = frontier.pop()
+        for y in sv:
+            if y not in seen and succ_sets[x] & succ_sets[y]:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen) == len(sv)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_uniform_oracle_agreement(seed):
+    # the class-partition count of is_uniform against down-up connectivity
     g = random_layered_graph(random.Random(seed))
-    assert is_uniform(g)[0] == is_uniform(g, oracle=True)[0]
+    linked = all(
+        _down_up_connected(g, g.succ(v))
+        for v in g.vertices()
+        if v.level >= 2 and len(g.succ(v)) > 1
+    )
+    assert is_uniform(g)[0] == linked
 
 
 def test_non_nesting(boolean3, nested_graph):
@@ -150,6 +172,23 @@ def test_restrict_and_upper_part(boolean4):
     up = upper_part(boolean4, 2)
     assert up.levels == (6, 4, 1)
     assert len(up.edges) == sum(1 for t, h in boolean4.edges if h.level >= 2)
+
+
+def test_levels_and_vertices_outside_the_graph(boolean3):
+    for n in (-1, 4, 9):
+        with pytest.raises(LevelMismatch, match=f"level {n} outside 0..3"):
+            boolean3.level_vertices(n)
+        with pytest.raises(EdgeLevelMismatch, match=f"level {n} outside 0..3"):
+            upper_part(boolean3, n)
+        with pytest.raises(EdgeLevelMismatch, match=f"level {n} outside 0..3"):
+            restrict(boolean3, n)
+    for vertex_set in ([V(2, 99)], [V(2, -1)], [V(2, 0), V(2, 3)], [V(4, 0)]):
+        with pytest.raises(LevelMismatch, match="not in the graph"):
+            class_partition(boolean3, vertex_set)
+    with pytest.raises(LevelMismatch, match="not in the graph"):
+        class_partition(boolean3, [], level=4)
+    assert upper_part(boolean3, 3).levels == (1,)
+    assert restrict(boolean3, 0).levels == (1,)
 
 
 def test_complete_layered():

@@ -28,6 +28,7 @@ from laga import (
     b_hilbert_table,
     build_boolean,
     build_complete_layered,
+    build_graph,
     build_subspace_lattice,
     gaussian_binomial,
     gr_hilbert_table,
@@ -51,7 +52,7 @@ from laga import (
     view_from_json_dict,
     view_to_json_dict,
 )
-from laga.linalg import identity, matrix_apply, transpose
+from laga.linalg import enumerate_rays, identity, matrix_apply, transpose
 from laga.reconstruct import (
     _CLOSURE_PASSES_PER_SET,
     _KERNEL_DRAWS_PER_RAY,
@@ -123,17 +124,34 @@ def test_scrambled_views_are_pinned(spec, p, seed, digest):
         (("boolean", 5), 3),
         (("subspace", 2, 3), 2),
         (("subspace", 2, 3), 3),
+        # not lattices: their levels >= 2 have kappa containments and
+        # equal kappas, so shears and swaps are proposed there too
+        (("complete", 1, 2, 3, 3), 2),
+        (("complete", 1, 2, 3, 3), 3),
+        (("complete", 1, 2, 2, 2), 2),
+        (("complete", 1, 2, 2, 2), 3),
+        (("nested",), 2),
+        (("nested",), 3),
     ],
 )
-def test_local_move_check_is_the_whole_graph_check(spec, p, monkeypatch):
-    g = _lattice(spec)
+def test_local_move_check_is_the_whole_graph_check(spec, p, request, monkeypatch):
+    if spec[0] == "nested":
+        g = request.getfixturevalue("nested_graph")
+    elif spec[0] == "complete":
+        g = build_complete_layered(spec[1:])
+    else:
+        g = _lattice(spec)
     field = GF(p) if p else QQ
     verdicts = []
+    mixing = []
 
     def recording(g, n, move, kappas, field):
         local = _move_preserves_kappas(g, n, move, kappas, field)
         assert local == iso_condition_check(g, g, {n: move}, field), (n, move)
         verdicts.append(local)
+        # a shear or a swap has an entry off the diagonal
+        if n >= 2 and any(x for i, row in enumerate(move) for j, x in enumerate(row) if i != j):
+            mixing.append(n)
         return local
 
     monkeypatch.setattr(laga.reconstruct, "_move_preserves_kappas", recording)
@@ -141,6 +159,10 @@ def test_local_move_check_is_the_whole_graph_check(spec, p, monkeypatch):
         algebra_view(g, field, scramble_seed=seed)
     # both verdicts occur, so neither side of the check is vacuous
     assert set(verdicts) == {True, False}
+    # the local check does not look at level n itself, so agreement on
+    # shears and swaps at levels >= 2 shows that they keep its kappas
+    if spec[0] in ("complete", "nested"):
+        assert mixing
 
 
 def test_kappa_view_matches_combinatorial_on_plain(boolean3):
@@ -295,6 +317,67 @@ def test_nested_graph_greedy_basis(nested_graph):
     assert basis.kappas[1] == span([[1, 1, 1]], 3, F3)
 
 
+def _respects_filtration(view, n, chosen) -> bool:
+    """For each kernel dimension t, the chosen vectors with k >= t span
+    the same space as every ray of the level with k >= t."""
+    field, d = view.field, view.level_dims[n]
+    rays = [(x, kappa_view(view, n, x).dim) for x in enumerate_rays(field, d)]
+    for t in {k for _, k in rays}:
+        every = span([list(x) for x, k in rays if k >= t], d, field)
+        kept = span([list(x) for x, kap in chosen if kap.dim >= t], d, field)
+        if kept != every:
+            return False
+    return True
+
+
+def _nested_twice():
+    """The nested graph with a level 3 on top whose successor sets nest
+    too: p covers {b, c}, q covers {c}."""
+    return build_graph(
+        [1, 3, 2, 2],
+        [
+            ((3, 0), (2, 0)),
+            ((3, 0), (2, 1)),
+            ((3, 1), (2, 1)),
+            ((2, 0), (1, 0)),
+            ((2, 0), (1, 1)),
+            ((2, 0), (1, 2)),
+            ((2, 1), (1, 0)),
+            ((2, 1), (1, 1)),
+            ((1, 0), (0, 0)),
+            ((1, 1), (0, 0)),
+            ((1, 2), (0, 0)),
+        ],
+        unique_minimal=True,
+        positive_outdegree=True,
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_exhaustive_scan_respects_the_kernel_filtration(nested_graph, p):
+    for g in (nested_graph, _nested_twice()):
+        for seed in (None, 1, 2, 3):
+            view = algebra_view(g, GF(p), scramble_seed=seed)
+            for n in range(2, view.top_level + 1):
+                assert _respects_filtration(view, n, _exhaustive_scan(view, n)), (seed, n)
+
+
+def test_exhaustive_scan_respects_the_filtration_on_lattices(boolean3, subspace23):
+    for view in (algebra_view(boolean3), algebra_view(subspace23, scramble_seed=2)):
+        for n in range(2, view.top_level + 1):
+            assert _respects_filtration(view, n, _exhaustive_scan(view, n))
+
+
+def test_filtration_check_rejects_a_misordered_basis(nested_graph):
+    view = algebra_view(nested_graph)
+    # e_c alone has the larger kernel; e_b + e_c and e_b span the level
+    # but miss the k >= 2 step, as a scan in ascending k would choose
+    wrong = [(x, kappa_view(view, 2, x)) for x in [(1, 1), (1, 0)]]
+    assert [kap.dim for _, kap in wrong] == [1, 1]
+    assert not _respects_filtration(view, 2, wrong)
+    assert _respects_filtration(view, 2, _exhaustive_scan(view, 2))
+
+
 def test_outdegree_multisets(boolean3, nested_graph):
     view = algebra_view(boolean3)
     assert outdegree_multiset(view, 2) == [2, 2, 2]
@@ -319,7 +402,8 @@ def test_intersection_sizes(boolean3):
 
 def test_nonnesting_recovers_upper_part(boolean4):
     view = algebra_view(boolean4, scramble_seed=5)
-    recovered = reconstruct_nonnesting(view, expect_levels=(6, 4, 1))
+    recovered = reconstruct_nonnesting(view)
+    assert recovered.levels == (6, 4, 1)
     assert are_isomorphic(recovered, upper_part(boolean4, 2)) is not None
 
 
