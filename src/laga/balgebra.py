@@ -26,7 +26,7 @@ from .errors import (
 )
 from .fields import QQ, FieldSpec
 from .graphs import LayeredGraph, V, class_partition, is_uniform
-from .gralgebra import HilbertTable, _vertex_paths_from
+from .gralgebra import HilbertTable, _vertex_paths_from, gr_hilbert_table
 from .linalg import (
     Subspace,
     enumeration_budget,
@@ -264,32 +264,46 @@ def kappa_kernel(g: LayeredGraph, a: BElement) -> Subspace:
 
 
 def k_stats(g: LayeredGraph, vertex_set, *, level: int | None = None):
-    """(k_A, k_A^A, |S(A)|); asserts the kappa dimension matches k_A."""
+    """(k_A, k_A^A, |S(A)|).  The class sums have disjoint supports, so
+    k_A is also the dimension of `kappa_combinatorial`."""
     part = class_partition(g, vertex_set, level=level)
-    s_size = len(part.successor_set)
-    kappa = kappa_combinatorial(g, vertex_set, level=level)
-    assert kappa.dim == part.k
-    return part.k, part.k_meeting, s_size
+    return part.k, part.k_meeting, len(part.successor_set)
 
 
 def quadratic_dual_check(g: LayeredGraph, n: int, field: FieldSpec = QQ) -> bool:
-    """The degree-2 relation space and the graded quadratic space must be
-    exact annihilators of each other under the coordinate pairing."""
+    """Whether `relation_space` and `gr_quadratic_space` annihilate each
+    other exactly; True on every uniform graph, with nothing to compute.
+
+    Both are direct sums of one block per level-n vertex v: the relation
+    block is span(e_w for w not in S(v), Sigma S(v)) and the grA block is
+    span(e_s0 - e_s) for each successor s after the first, s0.  Their
+    dimensions, d_{n-1} - |S(v)| + 1 and |S(v)| - 1 (d_{n-1} and 0 when
+    S(v) is empty), sum to d_{n-1}, and they pair to zero, on every graph
+    and over every field.  `koszul_defect` is the check that can fail."""
     uniform, _ = is_uniform(g)
     if not uniform:
         raise NotUniform("quadratic duality needs a uniform graph")
-    if n < 2 or n > g.top_level:
-        return True
-    rb = relation_space(g, n, field)
-    rgr = gr_quadratic_space(g, n, field)
-    total = g.levels[n] * g.levels[n - 1]
-    if rb.dim + rgr.dim != total:
-        return False
-    for x in rb.basis:
-        for y in rgr.basis:
-            if field.dot(x, y) != 0:
-                return False
     return True
+
+
+def koszul_defect(g: LayeredGraph, max_m: int) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero coefficients (m, n, c), m <= max_m, of
+    H_B(s, t) * H_grA(-s, t) - 1, with both dimensions 1 at (0, 0).
+
+    When grA is Koszul with quadratic dual B the product is 1, so an
+    empty result is necessary for Koszulity, not a proof of it
+    (numerical Koszulness; Polishchuk-Positselski, Quadratic Algebras).
+    A word of length m weighs at most m * top, which bounds the tables."""
+    max_n = max_m * g.top_level
+    b = b_hilbert_table(g, max_m, max_n).as_dict()
+    gr = gr_hilbert_table(g, max_m, max_n).as_dict()
+    b[0, 0] = gr[0, 0] = 1
+    coeffs: dict[tuple[int, int], int] = {}
+    for (i, k), db in b.items():
+        for (j, l), dg in gr.items():
+            if 0 < i + j <= max_m:
+                coeffs[i + j, k + l] = coeffs.get((i + j, k + l), 0) + (-1) ** j * db * dg
+    return tuple(sorted((m, n, c) for (m, n), c in coeffs.items() if c))
 
 
 def iso_condition_check(

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 invariant mismatch in `compare`, 2 usage
-error, 3 computation error (budget, verification, bad input data).
+Exit codes: 0 success, 1 invariant mismatch in `compare` or a nonzero
+Koszul defect in `dual-check`, 2 usage error, 3 computation error
+(budget, verification, bad input data).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import itertools
 import json
 import sys
 
-from .balgebra import b_hilbert_table, kappa_profile, quadratic_dual_check
+from .balgebra import b_hilbert_table, kappa_profile, koszul_defect
 from .errors import LagaError
 from .fields import GF
 from .graphs import (
@@ -143,15 +144,25 @@ def _cmd_uniform(args) -> int:
     return 0
 
 
+# word lengths `dual-check` covers: m = 3 takes 0.1 s on Boolean 6 and
+# on the subspace lattice of F_2^4, m = 4 several seconds
+_DEFECT_MAX_M = 3
+
+
 def _cmd_dual_check(args) -> int:
     g = _load_graph(args.graph)
-    results = {n: quadratic_dual_check(g, n) for n in range(2, g.top_level + 1)}
+    defect = koszul_defect(g, _DEFECT_MAX_M)
     if args.json:
-        print(json.dumps({str(n): ok for n, ok in results.items()}, sort_keys=True))
+        data = {"max_m": _DEFECT_MAX_M, "defect": [list(c) for c in defect]}
+        print(json.dumps(data, sort_keys=True))
+    elif defect:
+        for m, n, c in defect:
+            print(f"(m={m}, n={n}): H_B(s,t) H_grA(-s,t) has coefficient {c}, not 0")
+        print("not numerically Koszul")
     else:
-        for n, ok in sorted(results.items()):
-            print(f"level {n}: {'dual' if ok else 'MISMATCH'}")
-    return 0
+        print(f"H_B(s,t) H_grA(-s,t) = 1 through m = {_DEFECT_MAX_M}")
+        print("(numerically Koszul; necessary for Koszulity, not a proof of it)")
+    return 1 if defect else 0
 
 
 def _cmd_scramble(args) -> int:
@@ -281,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_uniform)
 
-    p = sub.add_parser("dual-check", help="degree-2 annihilator duality per level")
+    p = sub.add_parser("dual-check", help="numerical Koszulness through word length 3")
     p.add_argument("graph")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_dual_check)

@@ -15,7 +15,8 @@ with the graph isomorphism checker.
 
 Convention: the view reports level 0 as dimension 0 (the minimal vertex
 generates nothing), so the kernel of left multiplication at level 1 is
-the zero space and the out-degree formula still returns 1 there.
+the zero space and `intersection_size` still returns 1 there.  Upper
+bases, and the out-degrees read off them, start at level 2.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class AlgebraView:
     level_dims: tuple[int, ...]
     tensors: tuple
     plain: bool = False
-    # kernels and upper bases computed from this view (see `memo`)
+    # the upper basis of each level, once computed (see `memo`)
     _cache: dict = dataclasses.field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
@@ -245,15 +246,6 @@ def algebra_view(
     )
 
 
-@memo
-def _left_mult_kernel(view: AlgebraView, n: int, coords: tuple) -> Subspace:
-    # column j of the tensor gives the row coords * e_j; level 1 has no
-    # tensor and multiplies into nothing
-    t = view.tensors[n] if n >= 2 else ()
-    cols = [[row[j] for row in t] for j in range(view.level_dims[n - 1])]
-    return left_kernel([view.field.combine(coords, col) for col in cols], view.field)
-
-
 def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
     """Kernel of left multiplication by a level-n view element, as a
     canonical subspace in level-(n-1) view coordinates."""
@@ -262,7 +254,11 @@ def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
     norm = tuple(view.field.vector(coords))
     if len(norm) != view.level_dims[n]:
         raise LevelMismatch(f"{len(norm)} coords at level of dimension {view.level_dims[n]}")
-    return _left_mult_kernel(view, n, norm)
+    # column j of the tensor gives the row coords * e_j; level 1 has no
+    # tensor and multiplies into nothing
+    t = view.tensors[n] if n >= 2 else ()
+    cols = [[row[j] for row in t] for j in range(view.level_dims[n - 1])]
+    return left_kernel([view.field.combine(norm, col) for col in cols], view.field)
 
 
 @dataclass(frozen=True)
@@ -379,10 +375,10 @@ def upper_vertex_like_basis(view: AlgebraView, n: int) -> UpperBasis:
     basis falls back to an exhaustive scan of every ray, bounded by
     `LAGA_BUDGET`.  The result is kept once per view and level.  On an
     unscrambled view it must reproduce the kernel multiset of the vertex
-    basis.
+    basis.  Level 1 multiplies into nothing, so bases start at level 2.
     """
-    if not 1 <= n <= view.top_level:
-        raise LevelMismatch(f"level {n} outside 1..{view.top_level}")
+    if not 2 <= n <= view.top_level:
+        raise LevelMismatch(f"level {n} outside 2..{view.top_level}")
     return _upper_basis(view, n)
 
 

@@ -28,6 +28,7 @@ from laga import (
     is_quadratic_to_degree,
     kappa_kernel,
     kappa_of_element,
+    koszul_defect,
     leading_part,
     monomial_m,
     outdegree_multiset,
@@ -208,7 +209,8 @@ def test_criterion_8_quadratic_duality():
             rb = relation_space(g, n)
             rgr = gr_quadratic_space(g, n)
             assert rb.dim + rgr.dim == g.levels[n] * g.levels[n - 1]
-    _verdict(8, started, None, "annihilator duality and dimension complement")
+        assert koszul_defect(g, 3) == ()
+    _verdict(8, started, None, "annihilator duality, dimension complement, numerical Koszulness")
 
 
 def test_criterion_9_retarget_phenomenon(retarget_pair):

@@ -22,6 +22,7 @@ from laga import (
     b_hilbert_table,
     build_boolean,
     build_graph,
+    build_subspace_lattice,
     class_partition,
     component,
     degree2_product,
@@ -35,6 +36,7 @@ from laga import (
     kappa_kernel,
     kappa_of_element,
     kappa_profile,
+    koszul_defect,
     quadratic_dual_check,
     random_layered_graph,
     random_uniform_graph,
@@ -135,18 +137,22 @@ def _assert_closed_form(g, field):
                     assert not any(degree2_product(g, n, x, y, field))
 
 
+def _draw(seed):
+    """A random graph that need not be uniform, where some vertices lose
+    all their out-edges."""
+    rng = random.Random(seed)
+    g = random_layered_graph(rng, max_levels=5, max_width=4)
+    bare = {v for v in g.positive_vertices() if rng.random() < 0.25}
+    return build_graph(g.levels, [(t, h) for t, h in g.edges if t not in bare])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([QQ, F2, F3, GF(5)]))
 def test_degree2_product_is_the_projected_word(seed, field):
     """The closed form agrees with the generic component's projection of
     every word v*w, on graphs that need not be uniform, where some
     vertices keep one successor and some lose all of theirs."""
-    rng = random.Random(seed)
-    g = random_layered_graph(rng, max_levels=5, max_width=4)
-    bare = {v for v in g.positive_vertices() if rng.random() < 0.25}
-    _assert_closed_form(
-        build_graph(g.levels, [(t, h) for t, h in g.edges if t not in bare]), field
-    )
+    _assert_closed_form(_draw(seed), field)
 
 
 def test_degree2_product_on_nonuniform_and_nested_graphs(nonuniform_graph, nested_graph):
@@ -210,9 +216,51 @@ def test_quadratic_duality(boolean3, boolean4, subspace23):
             assert rb.dim + rgr.dim == g.levels[n] * g.levels[n - 1]
 
 
-def test_quadratic_duality_needs_uniform(nonuniform_graph):
+def test_quadratic_duality_needs_uniform(nonuniform_graph, nested_graph):
     with pytest.raises(NotUniform):
         quadratic_dual_check(nonuniform_graph, 2)
+    # the guard is a convention: the pairing itself holds here too
+    for g in (nonuniform_graph, nested_graph):
+        for n in range(2, g.top_level + 1):
+            assert _dense_pairing_holds(g, n, QQ)
+
+
+def _dense_pairing_holds(g, n, field):
+    """Reference: both degree-2 spaces built densely in V_n (x) V_{n-1},
+    their dimensions complementary and every two rows pairing to zero."""
+    rb = relation_space(g, n, field)
+    rgr = gr_quadratic_space(g, n, field)
+    if rb.dim + rgr.dim != g.levels[n] * g.levels[n - 1]:
+        return False
+    return all(field.dot(x, y) == 0 for x in rb.basis for y in rgr.basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), fields)
+def test_dense_pairing_holds_on_every_graph(seed, field):
+    """The per-block argument of `quadratic_dual_check`: the duality
+    holds at every level of every graph, uniform or not."""
+    g = _draw(seed)
+    for n in range(2, g.top_level + 1):
+        assert _dense_pairing_holds(g, n, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_koszul_defect_vanishes_through_degree_two(seed):
+    """The same degree-2 duality in numbers, on the same draws."""
+    assert koszul_defect(_draw(seed), 2) == ()
+
+
+def test_koszul_defect_on_lattices_and_uniform_graphs(nonuniform_graph):
+    graphs = [build_boolean(n) for n in range(3, 7)]
+    graphs += [build_subspace_lattice(q, n) for q, n in [(2, 3), (3, 3), (2, 4)]]
+    rng = random.Random(5)
+    graphs += [random_uniform_graph(rng, max_levels=4, max_width=4) for _ in range(20)]
+    for g in graphs:
+        assert koszul_defect(g, 3) == ()
+    # the top vertex covers c and d, whose successor sets are disjoint
+    assert koszul_defect(nonuniform_graph, 3) == ((3, 6, 1),)
 
 
 def test_iso_condition_identity_and_scalars(boolean3):

@@ -91,9 +91,17 @@ def test_uniform(boolean3_file, tmp_path, nonuniform_graph, capsys):
     assert "not uniform" in capsys.readouterr().out
 
 
-def test_dual_check(boolean3_file, capsys):
+def test_dual_check(boolean3_file, tmp_path, nonuniform_graph, capsys):
     assert main(["dual-check", boolean3_file, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out) == {"2": True, "3": True}
+    assert json.loads(capsys.readouterr().out) == {"max_m": 3, "defect": []}
+    assert main(["dual-check", boolean3_file]) == 0
+    assert "= 1 through m = 3" in capsys.readouterr().out
+    # a non-uniform graph reports its defect and exits 1, like a mismatch
+    bad = _graph_file(tmp_path, "bad.json", to_json(nonuniform_graph))
+    assert main(["dual-check", bad, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"max_m": 3, "defect": [[3, 6, 1]]}
+    assert main(["dual-check", bad]) == 1
+    assert "not numerically Koszul" in capsys.readouterr().out
 
 
 def test_scramble_reconstruct_pipeline(boolean3_file, tmp_path, capsys):

@@ -388,6 +388,15 @@ def test_outdegree_multisets(boolean3, nested_graph):
     assert outdegree_multiset(view, 2) == [2] * 10
 
 
+def test_level_one_has_no_upper_basis():
+    # level 1 multiplies into nothing, so the range check stops it before
+    # the right-multiplication kernel looks for a level-1 tensor
+    view = algebra_view(build_boolean(3), F3, scramble_seed=1)
+    for query in (upper_vertex_like_basis, outdegree_multiset):
+        with pytest.raises(LevelMismatch, match="level 1 outside 2..3"):
+            query(view, 1)
+
+
 def test_intersection_sizes(boolean3):
     view = algebra_view(boolean3)
     # {1,2} and {1,3} share one element; a vertex with itself reports its
@@ -528,6 +537,16 @@ def test_views_are_not_kept_alive_by_caches(boolean4):
     del view
     gc.collect()
     assert ref() is None
+
+
+def test_exhaustive_scan_keeps_no_kernel_per_ray(nested_graph):
+    # the scan asks for the kernel of every ray of the level; only the
+    # upper basis of each level may stay on the view
+    view = algebra_view(nested_graph, GF(5))
+    _exhaustive_scan(view, 2)
+    assert view._cache == {}
+    upper_vertex_like_basis(view, 2)
+    assert list(view._cache) == [(laga.reconstruct._upper_basis.__wrapped__, 2)]
 
 
 def test_graphs_are_not_kept_alive_by_caches():
