@@ -13,7 +13,7 @@ import json
 import sys
 
 from .balgebra import b_hilbert_table, kappa_profile, koszul_defect
-from .errors import LagaError
+from .errors import ArgumentMismatch, LagaError
 from .fields import GF
 from .graphs import (
     LayeredGraph,
@@ -56,19 +56,27 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _parse_max(raw: str) -> tuple[int, int]:
-    m, n = raw.split(",")
-    return int(m), int(n)
+    try:
+        m, n = map(int, raw.split(","))
+    except ValueError:
+        raise ArgumentMismatch(f"--max takes m,n, got {raw!r}") from None
+    return m, n
+
+
+# the parameters of each family `laga build` knows
+_BUILD_USAGE = {"boolean": "N", "subspace": "Q N", "complete": "S0,S1,..."}
 
 
 def _cmd_build(args) -> int:
+    usage = _BUILD_USAGE[args.family]
+    if len(args.params) != len(usage.split()):
+        raise ArgumentMismatch(f"build {args.family} takes {usage}, got {args.params}")
     if args.family == "boolean":
         g = build_boolean(int(args.params[0]))
     elif args.family == "subspace":
         g = build_subspace_lattice(int(args.params[0]), int(args.params[1]))
-    elif args.family == "complete":
+    else:
         g = build_complete_layered([int(x) for x in args.params[0].split(",")])
-    else:  # pragma: no cover - argparse restricts choices
-        raise LagaError(f"unknown family {args.family}")
     if args.dot:
         _emit(to_dot(g), args.output)
     else:
@@ -263,8 +271,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("build", help="build a graph and print its JSON")
-    p.add_argument("family", choices=["boolean", "subspace", "complete"])
-    p.add_argument("params", nargs="+", help="boolean N | subspace Q N | complete S0,S1,...")
+    p.add_argument("family", choices=list(_BUILD_USAGE))
+    usage = " | ".join(f"{family} {params}" for family, params in _BUILD_USAGE.items())
+    p.add_argument("params", nargs="+", help=usage)
     p.add_argument("-o", "--output")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p.set_defaults(func=_cmd_build)

@@ -21,6 +21,10 @@ class MixedLevels(LagaError):
     """A vertex set spans more than one level."""
 
 
+class ArgumentMismatch(LagaError):
+    """A command's arguments do not fit its usage."""
+
+
 class UnsupportedField(LagaError):
     """The requested finite field is not supported."""
 

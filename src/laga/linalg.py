@@ -7,9 +7,10 @@ code path serves both fields.  Subspaces are kept in canonical reduced
 row echelon form, so equality of subspaces is equality of tuples and
 canonical forms can be used as dictionary keys.  Each subspace carries
 the pivot columns of its basis rows, so reducing a vector against it
-never searches a row for its pivot.  Kernels and intersections are read
-off one rref of a stacked matrix, whose rows that vanish on the left
-block are already the canonical basis of the answer.
+never searches a row for its pivot.  A kernel is read off one rref of
+[M | I], an intersection off one rref of [residual | x] over the basis
+rows x of the smaller space, each reduced against the larger; the rows
+that vanish on the left block are already the canonical basis.
 """
 
 from __future__ import annotations
@@ -88,13 +89,14 @@ class Subspace:
         return all(self.contains_vector(row) for row in other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: rref [[A|A],[B|0]]; rows with zero left block
-        carry an intersection basis in the right block."""
+        """rref [r(x) | x] over the basis rows x of the smaller space,
+        r(x) the residual of x against the larger: a combination of the x
+        lies in the larger space exactly when its residuals cancel, so
+        the rows with zero left block carry the intersection."""
         self._check_compatible(other)
+        small, large = sorted((self, other), key=lambda s: s.dim)
         n = self.ambient_dim
-        zero = self.field.zero
-        stacked = [list(row) + list(row) for row in self.basis]
-        stacked += [list(row) + [zero] * n for row in other.basis]
+        stacked = [reduce_vector(x, large) + list(x) for x in small.basis]
         return _right_block(*rref(stacked, self.field), n, n, self.field)
 
     def add(self, other: "Subspace") -> "Subspace":

@@ -3,15 +3,16 @@
 The pipeline sees only an `AlgebraView`: per-level dimensions plus the
 bilinear structure constants of degree-1 times degree-1 multiplication,
 in an opaque (possibly scrambled) coordinate basis.  From that it builds
-upper vertex-like bases by kernel refinement (an exhaustive max-kernel
-ray scan is the fallback for nested views), reads off out-degree
-multisets and successor intersections, and reconstructs the hidden graph
-for non-nesting posets, Boolean lattices, and subspace lattices.  The
-lattices share one driver, which reads each hidden atom off the level-2
-basis as a maximal set of kernels whose intersection keeps dimension 2,
-found by a greedy closure in a bounded number of passes.  Every
-reconstruction is certified against an independently built reference
-with the graph isomorphism checker.
+upper vertex-like bases, by kernel refinement at level 2 and by a greedy
+closure over the kernels of the basis one level down above it (an
+exhaustive max-kernel ray scan is the fallback for nested views), reads
+off out-degree multisets and successor intersections, and reconstructs
+the hidden graph for non-nesting posets, Boolean lattices, and subspace
+lattices.  The lattices share one driver, which reads each hidden atom
+off the level-2 basis as a maximal set of kernels whose intersection
+keeps dimension 2, found by the same closure.  Every reconstruction is
+certified against an independently built reference with the graph
+isomorphism checker.
 
 Convention: the view reports level 0 as dimension 0 (the minimal vertex
 generates nothing), so the kernel of left multiplication at level 1 is
@@ -24,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,6 +60,7 @@ from .graphs import (
 from .linalg import (
     Subspace,
     enumerate_rays,
+    full_space,
     identity,
     left_kernel,
     rank,
@@ -67,26 +70,22 @@ from .linalg import (
 
 F3 = GF(3)
 
-# draws of y per vertex ray before kernel refinement gives up.  A
-# one-dimensional kernel is taken as a ray the moment it is drawn, so
-# refinement finds every ray no later than a search for such kernels
-# alone, and 500 per ray is the bound that search had.  A uniform y lies
-# in kappa(v) with probability p^-(codim kappa(v)), which sets the pace:
-# Boolean lattices up to rank 5 over F_2..F_7 and rank 6 over F_3, and
-# subspace lattices (2,3), (3,3) and (2,4), needed at most 50 draws per
-# ray at any level.  Refinement is the basis search at every size, so
-# the full bound is spent only where it cannot succeed, such as nested
-# views, once per view and level before the exhaustive fallback.
+# draws of y per level-2 vertex ray before kernel refinement gives up.
+# A uniform y lies in kappa(v) with probability p^-(codim kappa(v)), and
+# level-2 codimensions are small on the lattices (1 on Boolean lattices,
+# q on subspace lattices).  Over F_2..F_7, scramble seeds 1-4, Boolean
+# ranks 3-6 and subspace (2,3) and (2,4) needed at most 14 draws per ray,
+# subspace (3,3) 84 (over F_7).  The full bound is spent only where
+# refinement cannot succeed, as on nested views.
 _KERNEL_DRAWS_PER_RAY = 500
 
-# greedy closure passes per level-1 set before the set search gives up.
-# While some basis index lies in no set accepted so far, a pass starts
-# from one, and then it lands either on a new set or on a smaller maximal
-# set, which is rejected; so the passes beyond one per set are those that
-# land on smaller sets.  Boolean lattices of rank 3-6 over F_2..F_7 and
-# subspace lattices (2,3), (3,3) and (2,4), scramble seeds 1-4, needed
-# at most two such passes in all (8 for the 6 sets of rank 6, 16 for the
-# 15 of (2,4)), so 4 per set leaves a wide margin and stays linear.
+# greedy closure passes per set sought (a level-1 set, or a vertex ray
+# at level >= 3) before the search gives up.  Each pass lands on a
+# maximal set, new or found before.  Over F_2..F_7, scramble seeds 1-4,
+# Boolean ranks 3-6 and subspace (2,3), (3,3) and (2,4) needed at most
+# 22 passes for 20 rays and 16 for 15 sets; Boolean 7 and subspace (3,4)
+# over F_3 (seed 1) at most 42 for 35 rays.  So 4 per set leaves a wide
+# margin and stays linear.
 _CLOSURE_PASSES_PER_SET = 4
 
 
@@ -227,8 +226,6 @@ def algebra_view(
     if scramble_seed is None:
         maps = {n: identity(g.levels[n], field) for n in range(1, g.top_level + 1)}
     else:
-        import random
-
         maps = _scramble_maps(g, field, random.Random(scramble_seed))
     tensors: list = [None, None]
     for n in range(2, g.top_level + 1):
@@ -279,37 +276,29 @@ def _right_mult_kernel(view: AlgebraView, n: int, y) -> Subspace:
 
 
 def _sampled_vertex_rays(view: AlgebraView, n: int):
-    """Vertex rays by kernel refinement, the default upper-basis search.
+    """Vertex rays by kernel refinement, the level-2 basis search.
 
     The degree-2 relation space splits as a direct sum over left
     factors, so for any y one level down, R(y) = {a : a * y = 0} is the
-    span of the hidden vertices v with y in the kernel of v.  Every
-    intersection of such kernels is then the span of a set of hidden
-    vertices, and a one-dimensional one is a vertex ray exactly.
-
-    y is drawn from a stream seeded by the level, so a view always gives
-    the same rays.  A one-dimensional R(y) is taken as a ray directly;
-    a larger one is intersected with every cell kept so far, which keeps
-    the cells closed under intersection.  A cell that the rays and
-    smaller cells inside it already span is dropped: whatever a later
-    kernel cuts out of it, it cuts out of those.  Under non-nesting the
-    cell of a vertex v shrinks to its ray once the y drawn inside
-    kappa(v) span kappa(v).  A view that cannot be refined (nested
-    kernels, or tensors of no uniform graph) stops after
-    `_KERNEL_DRAWS_PER_RAY` draws per ray of the level, and the
-    basis falls back to the exhaustive scan.  The final isomorphism
-    certificate backstops correctness either way.
+    span of the hidden vertices v with y in the kernel of v, and a
+    one-dimensional intersection of such kernels is a vertex ray.  Level 1
+    has no basis to seed a closure from, so y is drawn from a stream
+    seeded by the level.  A one-dimensional R(y) is a ray; a larger one
+    is intersected with every cell kept so far.  A cell that the rays and
+    smaller cells inside it span is dropped: whatever a later kernel cuts
+    out of it, it cuts out of those.  Under non-nesting the cell of v
+    shrinks to its ray once the y drawn inside kappa(v) span kappa(v).
+    A view that cannot be refined (nested kernels, or tensors of no
+    uniform graph) raises VerificationFailed after
+    `_KERNEL_DRAWS_PER_RAY` draws per ray.
     """
-    import random
-
     field = view.field
     d = view.level_dims[n]
     d_prev = view.level_dims[n - 1]
     if d == 1:
-        ray = (field.one,)
-        return [(ray, kappa_view(view, n, ray))]
+        return [(field.one,)]
     rng = random.Random(0x1A6A ^ (n << 16) ^ d)
-    found: dict[tuple, Subspace] = {}
+    found: set[tuple] = set()
     cells: dict[tuple, Subspace] = {}
     drawn: set = set()
     seen: set = set()
@@ -334,7 +323,7 @@ def _sampled_vertex_rays(view: AlgebraView, n: int):
         grew = False
         for piece in pieces:
             if piece.dim == 1 and piece.basis[0] not in found:
-                found[piece.basis[0]] = kappa_view(view, n, piece.basis[0])
+                found.add(piece.basis[0])
                 grew = True
             elif piece.dim > 1 and piece.key() not in cells:
                 cells[piece.key()] = piece
@@ -346,9 +335,7 @@ def _sampled_vertex_rays(view: AlgebraView, n: int):
             f"kernel refinement found {len(found)} of {d} vertex rays at level {n} "
             f"after {draws} draws"
         )
-    if rank([list(r) for r in found], field) != d:
-        raise VerificationFailed(f"sampled rays at level {n} are dependent")
-    return sorted(found.items(), key=lambda item: (-item[1].dim, item[0]))
+    return list(found)
 
 
 def _unrefined_cells(cells: dict, rays, field: FieldSpec) -> dict:
@@ -364,15 +351,71 @@ def _unrefined_cells(cells: dict, rays, field: FieldSpec) -> dict:
     return kept
 
 
+def _closure_vertex_rays(view: AlgebraView, n: int):
+    """Vertex rays at level n >= 3 by greedy closure over the kernels
+    R(w) of the level-(n-1) basis vectors w.
+
+    kappa(v) is the set of y constant on S(v), so for a lower vertex ray
+    w, R(w) is the span of the vertices v with w outside S(v).  A set W
+    maximal with a nonzero intersection of its R(w) leaves the vertices
+    whose successor set is the complement of W: one ray under
+    non-nesting.  Any one-dimensional intersection of kernels R(y) is a
+    vertex ray, whatever the lower basis.  Finding fewer than d rays, as
+    on nested views, raises VerificationFailed.
+    """
+    d = view.level_dims[n]
+    kernels = [_right_mult_kernel(view, n, w) for w in _upper_basis(view, n - 1).vectors]
+    found, passes = _greedy_closure(
+        kernels, 1, d, lambda kept, meet: meet.dim == 1, 0x1A6A ^ (n << 16) ^ d
+    )
+    if len(found) < d:
+        raise VerificationFailed(
+            f"kernel closure found {len(found)} of {d} vertex rays at level {n} "
+            f"in {passes} passes"
+        )
+    return [meet.basis[0] for meet in found.values()]
+
+
+def _greedy_closure(spaces, least: int, want: int, accept, seed: int):
+    """Up to `want` sets of indices into `spaces`, each maximal with an
+    intersection of dimension >= least and passing accept(kept, meet),
+    as ({kept: meet}, passes spent).  A pass visits the indices in a
+    seeded order, least covered by the sets accepted so far first, and
+    keeps each one that leaves the intersection of dimension >= least.
+    """
+    rng = random.Random(seed)
+    whole = full_space(spaces[0].ambient_dim, spaces[0].field)
+    order = list(range(len(spaces)))
+    cover = [0] * len(order)
+    found: dict[tuple, Subspace] = {}
+    passes = 0
+    while len(found) < want and passes < _CLOSURE_PASSES_PER_SET * want:
+        passes += 1
+        rng.shuffle(order)
+        order.sort(key=cover.__getitem__)
+        acc, kept = whole, []
+        for j in order:
+            meet = spaces[j] if acc is whole else acc.intersect(spaces[j])
+            if meet.dim >= least:
+                acc = meet
+                kept.append(j)
+        kept = tuple(sorted(kept))
+        if kept not in found and accept(kept, acc):
+            found[kept] = acc
+            for j in kept:
+                cover[j] += 1
+    return found, passes
+
+
 def upper_vertex_like_basis(view: AlgebraView, n: int) -> UpperBasis:
     """A basis of the level-n component whose vectors maximize, greedily,
     the kernel dimension of left multiplication.
 
-    The vertex rays are found by kernel refinement, intersecting the
-    right-multiplication kernels of seeded random y until they are
-    one-dimensional (finite fields only).  Where refinement gives up
-    after `_KERNEL_DRAWS_PER_RAY` draws per ray, as on nested views, the
-    basis falls back to an exhaustive scan of every ray, bounded by
+    The vertex rays are intersections of right-multiplication kernels
+    (finite fields only): of seeded random y at level 2, refined until
+    one-dimensional, and above it of the level-(n-1) basis vectors, by
+    greedy closure.  Where either search gives up, as on nested views,
+    the basis falls back to an exhaustive scan of every ray, bounded by
     `LAGA_BUDGET`.  The result is kept once per view and level.  On an
     unscrambled view it must reproduce the kernel multiset of the vertex
     basis.  Level 1 multiplies into nothing, so bases start at level 2.
@@ -388,7 +431,11 @@ def _upper_basis(view: AlgebraView, n: int) -> UpperBasis:
     if field.is_rational:
         raise UnsupportedField("kernel refinement needs a finite field")
     try:
-        chosen = _sampled_vertex_rays(view, n)
+        rays = (_sampled_vertex_rays if n == 2 else _closure_vertex_rays)(view, n)
+        if rank([list(r) for r in rays], field) != view.level_dims[n]:
+            raise VerificationFailed(f"vertex rays at level {n} are dependent")
+        pairs = [(r, kappa_view(view, n, r)) for r in rays]
+        chosen = sorted(pairs, key=lambda item: (-item[1].dim, item[0]))
     except VerificationFailed:
         chosen = _exhaustive_scan(view, n)
     if view.plain:
@@ -420,14 +467,11 @@ def _exhaustive_scan(view: AlgebraView, n: int) -> list:
     """
     field = view.field
     d = view.level_dims[n]
-    scored = []
-    for pos, x in enumerate(enumerate_rays(field, d)):
-        kap = kappa_view(view, n, x)
-        scored.append((-kap.dim, pos, x, kap))
-    scored.sort(key=lambda s: s[:2])
+    scored = [(x, kappa_view(view, n, x)) for x in enumerate_rays(field, d)]
+    scored.sort(key=lambda s: -s[1].dim)  # stable: lex order within each k
     chosen = []
     acc = zero_space(d, field)
-    for negk, _, x, kap in scored:
+    for x, kap in scored:
         if len(chosen) == d:
             break
         if acc.contains_vector(x):
@@ -515,36 +559,13 @@ def _level_one_sets(basis2: UpperBasis, size: int, count: int):
     kappa of a set of basis vectors is the intersection of their kappas.
     Over A(u) that intersection is span(u, Sigma), of dimension 2, and
     A(u) is maximal among sets whose intersection keeps dimension >= 2;
-    every other maximal set is smaller.  A pass visits the indices in a
-    seeded order, least covered by the sets found so far first, keeps
-    each one that leaves the intersection of dimension >= 2, and accepts
-    the result when it has `size` members and is new.  The isomorphism
+    every other maximal set is smaller.  The greedy closure accepts a
+    maximal set when it has `size` members.  The isomorphism
     certificate then shows that no other set of that size exists.
     """
-    import random
-
-    rng = random.Random(0x1A6A ^ size)
-    order = list(range(len(basis2.kappas)))
-    cover = [0] * len(order)
-    found: list[tuple] = []
-    passes = 0
-    while len(found) < count and passes < _CLOSURE_PASSES_PER_SET * count:
-        passes += 1
-        rng.shuffle(order)
-        order.sort(key=cover.__getitem__)
-        acc = None
-        kept = []
-        for j in order:
-            kap = basis2.kappas[j]
-            meet = kap if acc is None else acc.intersect(kap)
-            if meet.dim >= 2:
-                acc = meet
-                kept.append(j)
-        kept = tuple(sorted(kept))
-        if len(kept) == size and kept not in found:
-            found.append(kept)
-            for j in kept:
-                cover[j] += 1
+    found, passes = _greedy_closure(
+        basis2.kappas, 2, count, lambda kept, meet: len(kept) == size, 0x1A6A ^ size
+    )
     if len(found) < count:
         raise ReconstructionFailed(
             f"level-1 sets: found {len(found)} of {count} sets of size {size} "

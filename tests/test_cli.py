@@ -272,3 +272,27 @@ def test_malformed_json_exits_three(kind, path, value, tmp_path, capsys):
 def test_build_rejects_negative_sizes(params, capsys):
     assert main(["build", *params]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params, usage",
+    [
+        pytest.param(["subspace", "2"], "build subspace takes Q N", id="subspace-2"),
+        pytest.param(["boolean", "4", "5"], "build boolean takes N", id="boolean-4-5"),
+        pytest.param(["complete", "1,2", "3"], "takes S0,S1,...", id="complete-1,2-3"),
+    ],
+)
+def test_build_checks_the_parameter_count(params, usage, capsys):
+    # `subspace 2` raised IndexError and `boolean 4 5` ignored the 5
+    assert main(["build", *params]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and usage in captured.err
+
+
+@pytest.mark.parametrize("verb", ["hilbert", "compare"])
+@pytest.mark.parametrize("bound", ["3", "3,4,5", "3,x"])
+def test_max_names_its_expected_form(verb, bound, boolean3_file, capsys):
+    graphs = [boolean3_file] * (2 if verb == "compare" else 1)
+    assert main([verb, *graphs, "--max", bound]) == 3
+    assert f"error: --max takes m,n, got '{bound}'" in capsys.readouterr().err

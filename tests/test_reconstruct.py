@@ -56,6 +56,7 @@ from laga.linalg import enumerate_rays, identity, matrix_apply, transpose
 from laga.reconstruct import (
     _CLOSURE_PASSES_PER_SET,
     _KERNEL_DRAWS_PER_RAY,
+    _closure_vertex_rays,
     _exhaustive_scan,
     _level_one_sets,
     _move_preserves_kappas,
@@ -234,20 +235,33 @@ def test_basis_modes_agree_on_plain_view(boolean3):
         assert sorted(k.key() for k in exhaustive) == sorted(k.key() for k in vertex)
 
 
+def _scrambled_lattice_views(subspace23):
+    return (
+        algebra_view(subspace23, scramble_seed=3),
+        algebra_view(build_boolean(5), GF(2), scramble_seed=3),
+    )
+
+
+def _assert_scan_kernels(view, n, rays):
+    found = [kappa_view(view, n, x) for x in rays]
+    exhaustive = [kap for _, kap in _exhaustive_scan(view, n)]
+    assert sorted(k.dim for k in found) == sorted(k.dim for k in exhaustive)
+    assert sorted(k.key() for k in found) == sorted(k.key() for k in exhaustive)
+
+
 def test_sampled_mode_agrees(subspace23):
     # over F_2 every y is constant on some pair of the five coordinates,
     # so no level-2 kernel of Boolean 5 is one-dimensional: the rays
     # there come from intersecting kernels
-    cases = (
-        (algebra_view(subspace23, scramble_seed=3), range(2, 4)),
-        (algebra_view(build_boolean(5), GF(2), scramble_seed=3), range(2, 5)),
-    )
-    for view, levels in cases:
-        for n in levels:
-            sampled = [kap for _, kap in _sampled_vertex_rays(view, n)]
-            exhaustive = [kap for _, kap in _exhaustive_scan(view, n)]
-            assert sorted(k.dim for k in sampled) == sorted(k.dim for k in exhaustive)
-            assert sorted(k.key() for k in sampled) == sorted(k.key() for k in exhaustive)
+    for view in _scrambled_lattice_views(subspace23):
+        _assert_scan_kernels(view, 2, _sampled_vertex_rays(view, 2))
+
+
+def test_closure_mode_agrees(subspace23):
+    # every level from 3 up, the one-vertex top levels included
+    for view in _scrambled_lattice_views(subspace23):
+        for n in range(3, view.top_level + 1):
+            _assert_scan_kernels(view, n, _closure_vertex_rays(view, n))
 
 
 def test_sampled_mode_gives_up_on_nested_views(nested_graph):
@@ -286,14 +300,45 @@ def test_auto_falls_back_to_the_scan_once_on_nested_views(nested_graph, monkeypa
 
 def test_plain_view_check_runs_after_refinement(boolean3, monkeypatch):
     def wrong_rays(view, n):
-        rays = [(1, 1, 0), (0, 1, 0), (0, 0, 1)]
-        return [(x, kappa_view(view, n, x)) for x in rays]
+        return [(1, 1, 0), (0, 1, 0), (0, 0, 1)]
 
     monkeypatch.setattr(laga.reconstruct, "_sampled_vertex_rays", wrong_rays)
     with pytest.raises(
         VerificationFailed, match="kernel multiset does not match the vertex basis"
     ):
         upper_vertex_like_basis(algebra_view(boolean3), 2)
+
+
+def test_closure_gives_up_on_a_view_nested_at_level_3():
+    # q's one successor puts it in every kernel R(w), and p's successors
+    # contain q's, so every pass lands on q alone
+    passes = _CLOSURE_PASSES_PER_SET * 2
+    for p in (3, 5):
+        view = algebra_view(_nested_twice(), GF(p))
+        with pytest.raises(
+            VerificationFailed,
+            match=f"found 1 of 2 vertex rays at level 3 in {passes} passes",
+        ):
+            _closure_vertex_rays(view, 3)
+
+
+def test_closure_falls_back_to_the_scan_once_at_level_3(monkeypatch):
+    calls = []
+    scan = laga.reconstruct._exhaustive_scan
+
+    def counting(view, n):
+        calls.append(n)
+        return scan(view, n)
+
+    monkeypatch.setattr(laga.reconstruct, "_exhaustive_scan", counting)
+    for p in (3, 5):
+        calls.clear()
+        view = algebra_view(_nested_twice(), GF(p))
+        first = upper_vertex_like_basis(view, 3)
+        assert upper_vertex_like_basis(view, 3) == first
+        # the nested level 2 falls back too, once
+        assert calls == [2, 3]
+        assert list(zip(first.vectors, first.kappas)) == scan(view, 3)
 
 
 def test_subspace33_over_f2_recovers_without_the_scan(monkeypatch):
@@ -635,6 +680,29 @@ def test_subspace24_over_f2_recovers():
     assert result.levels == g.levels
     # each plane covers its 7 lines
     assert outdegree_multiset(view, 3) == [7] * 15
+
+
+@pytest.mark.parametrize(
+    "spec, p, bound",
+    [
+        pytest.param(("subspace", 2, 4), 5, 10, id="subspace24-F5"),
+        pytest.param(("subspace", 2, 4), 7, 10, id="subspace24-F7"),
+        pytest.param(("boolean", 6), 7, 5, id="boolean6-F7"),
+    ],
+)
+def test_recovers_over_larger_fields(spec, p, bound):
+    # the level >= 3 rays come from the basis below, so the kernel count
+    # does not grow with p, where a uniform draw lies in kappa(v) only
+    # with probability p^-(codim kappa(v)); reconstruct_* certifies
+    g = _lattice(spec)
+    view = algebra_view(g, GF(p), scramble_seed=1)
+    start = time.perf_counter()
+    if spec[0] == "boolean":
+        result = reconstruct_boolean(view, *spec[1:])
+    else:
+        result = reconstruct_subspace(view, *spec[1:])
+    assert time.perf_counter() - start < bound
+    assert result.levels == g.levels
 
 
 def test_view_rejects_elements_of_another_field(boolean3):
