@@ -152,8 +152,9 @@ def _cmd_uniform(args) -> int:
     return 0
 
 
-# word lengths `dual-check` covers: m = 3 takes 0.1 s on Boolean 6 and
-# on the subspace lattice of F_2^4, m = 4 several seconds
+# word lengths `dual-check` covers: m = 3 takes 0.05-0.09 s on Boolean 6
+# and on the subspace lattice of F_2^4, m = 4 0.35-0.55 s, nearly all of
+# it the B table
 _DEFECT_MAX_M = 3
 
 

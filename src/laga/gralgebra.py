@@ -1,10 +1,12 @@
 """The graded vertex algebra of a layered graph.
 
-Works inside the free algebra on the positive-level vertices.  The key
-objects: distinguished downward paths, the coefficient elements obtained
-by expanding edge products, run monomials m(v, k), the pair-sequence
-basis, skeleton decomposition, normal-form rewriting, and per-bidegree
-exact linear algebra for the quotient by equal-start path differences.
+Works inside the free algebra on the positive-level vertices, modulo
+differences of equal-start path monomials.  The key objects:
+distinguished downward paths, the coefficient elements obtained by
+expanding edge products, run monomials m(v, k), and the pair-sequence
+basis with its normal-form rewriting.  A bidegree's dimension is the
+number of its non-covering (vertex, run-length) pair sequences, counted
+without building them; a word's class is its normal form.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import LayeredGraph, V, _reach_map, _UnionFind, memo
+from .graphs import LayeredGraph, V, _reach_map, memo
 from .linalg import enumeration_budget
 
 Word = tuple[V, ...]
@@ -210,9 +212,12 @@ def normalize(g: LayeredGraph, word: Word) -> Word:
     """Rewrite a word until its pair sequence has no covering step.
 
     Whenever a run of length k starting at b is followed by a vertex
-    reachable from b by a length-k path, the run absorbs that vertex by
-    extending the distinguished path one step; the rewrite preserves the
-    image in the quotient by equal-start path differences.
+    reachable from b by a length-k path, the run absorbs that vertex:
+    the first successor of the run's last vertex takes its place, which
+    extends the run along first successors.  The rewrite preserves the
+    image in the quotient by equal-start path differences.  A run whose
+    last vertex has no successors cannot absorb anything and raises
+    `EmptySuccessor`.
     """
     word = tuple(word)
     for _ in range(10 * (len(word) + 1) ** 2):
@@ -228,24 +233,24 @@ def normalize(g: LayeredGraph, word: Word) -> Word:
         )
         if bad is None:
             return word
-        start = s[bad]  # 1-based position where the offending run begins
-        run_len = s[bad + 1] - s[bad]
-        b = pairs[bad][0]
-        new_run = distinguished_path(g, b)[: run_len + 1]
-        word = word[: start - 1] + new_run + word[s[bad + 1] :]
+        covered = s[bad + 1] - 1  # 0-based position of the covered vertex
+        nxt = g.succ(word[covered - 1])
+        if not nxt:
+            raise EmptySuccessor(f"{word[covered - 1]} has no successors")
+        word = word[:covered] + nxt[:1] + word[covered + 1 :]
     raise AssertionError("normalize failed to terminate")  # pragma: no cover
 
 
-def enumerate_B_basis(g: LayeredGraph, m: int, n: int) -> list[PairSequence]:
-    """All non-covering pair sequences of total word length m and vertex
-    weight n, in canonical order.  The number of sequences is held to
-    LAGA_BUDGET."""
-    budget = enumeration_budget()
+def _pair_table(g: LayeredGraph, max_len: int):
+    """Every pair (v, k) with k <= max_len for which v has a positive
+    path of k vertices, in the canonical order, as (pair, k, weight,
+    covered): a pair (v, k) may not be followed by a pair starting at a
+    covered vertex, one k levels below v that v reaches."""
     reach = _reach_map(g)
-    # every candidate pair once, in the canonical order, with its weight
-    # and the vertices it covers: a pair (v, k) may not be followed by a
-    # pair starting k levels below v at a vertex that v reaches
-    table = [
+    longest: dict[V, int] = {}  # vertices on the longest positive path from v
+    for v in g.positive_vertices():  # level by level, upwards
+        longest[v] = 1 + max((longest[w] for w in g.succ(v) if w.level > 0), default=0)
+    return [
         (
             (v, k),
             k,
@@ -253,8 +258,16 @@ def enumerate_B_basis(g: LayeredGraph, m: int, n: int) -> list[PairSequence]:
             frozenset(w for w in reach[v] if w.level == v.level - k),
         )
         for v in g.positive_vertices()
-        for k in range(1, min(v.level, m) + 1)
+        for k in range(1, min(longest[v], max_len) + 1)
     ]
+
+
+def enumerate_B_basis(g: LayeredGraph, m: int, n: int) -> list[PairSequence]:
+    """All non-covering pair sequences of total word length m and vertex
+    weight n, in canonical order.  The number of sequences is held to
+    LAGA_BUDGET."""
+    budget = enumeration_budget()
+    table = _pair_table(g, m)
     # an explicit stack, not a recursive closure: a closure that calls
     # itself is a reference cycle, which would keep `out` alive until the
     # cyclic collector ran
@@ -322,98 +335,63 @@ def _vertex_paths_from(g: LayeredGraph, v: V, nverts: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
-def _word_count(g: LayeredGraph, m: int, n: int) -> int:
-    """The number of words of bidegree (m, n), counted by length and
-    weight from the level sizes, without building any word."""
-    if m < 0 or n < 0:
-        return 0
-    top = g.top_level
-    ways = [1] + [0] * n  # ways[w]: words of the current length, weight w
-    for _ in range(m):
-        ways = [
-            sum(g.levels[k] * ways[w - k] for k in range(1, min(w, top) + 1))
-            for w in range(n + 1)
-        ]
-    budget = enumeration_budget()
-    if ways[n] > budget:
-        raise BudgetExceeded(f"bidegree ({m},{n}) word count")
-    return ways[n]
+def _sequence_counts(g: LayeredGraph, max_m: int, max_n: int) -> list[list[int]]:
+    """total[m][n]: the number of non-covering pair sequences of length
+    m and weight n, for m <= max_m and n <= max_n.
 
-
-def _generator_word_pairs(g: LayeredGraph, gen_len: int):
-    """Each equal-start path-difference generator as a pair of words."""
-    pairs = []
-    for v in g.positive_vertices():
-        paths = _vertex_paths_from(g, v, gen_len)
-        for other in paths[1:]:
-            pairs.append((paths[0], other))
-    return pairs
-
-
-def _union_padded_pairs(
-    g: LayeredGraph, m: int, n: int, uf: _UnionFind, gen_len: int
-) -> None:
-    """Merge word classes along padded length-`gen_len` generators.
-
-    Every relation is a difference of two words, so the bidegree slice
-    of the ideal is the span of within-class word differences and its
-    codimension is the number of classes."""
-    by_weight: dict[int, list] = {}
-    for base, other in _generator_word_pairs(g, gen_len):
-        by_weight.setdefault(word_weight(base), []).append((base, other))
-    for lw in range(0, m - gen_len + 1):
-        rw = m - gen_len - lw
-        for gen_wt, gen_list in by_weight.items():
-            for left_wt in range(0, n - gen_wt + 1):
-                right_wt = n - gen_wt - left_wt
-                lefts = words_of_bidegree(g, lw, left_wt)
-                if not lefts:
+    A dynamic program keyed on the vertex each sequence starts at:
+    prepending (v, k) to the sequences of bidegree (m - k, n - weight)
+    gives all of them except those starting at a vertex that (v, k)
+    covers.  It builds no word and no sequence, and takes
+    O(max_m * max_n * pairs * covered vertices) steps."""
+    table = _pair_table(g, max_m)
+    total = [[0] * (max_n + 1) for _ in range(max_m + 1)]
+    total[0][0] = 1
+    # starts[m][n][u]: the sequences of bidegree (m, n) starting at u
+    starts: list[list[dict[V, int]]] = [
+        [{} for _ in range(max_n + 1)] for _ in range(max_m + 1)
+    ]
+    for m in range(1, max_m + 1):
+        for n in range(1, max_n + 1):
+            here = starts[m][n]
+            for (v, _), k, w, covered in table:
+                if k > m or w > n or not total[m - k][n - w]:
                     continue
-                rights = words_of_bidegree(g, rw, right_wt)
-                if not rights:
-                    continue
-                for base, other in gen_list:
-                    for lword in lefts:
-                        lbase, lother = lword + base, lword + other
-                        for rword in rights:
-                            uf.union(lbase + rword, lother + rword)
-
-
-def _word_classes(g: LayeredGraph, m: int, n: int) -> _UnionFind:
-    """The word classes of bidegree (m, n) under padded generators of
-    every length, for the dimension count and the relation-span test.
-    The words are counted, not built: only those a padded generator
-    touches enter the union-find."""
-    uf = _UnionFind(_word_count(g, m, n))
-    for gen_len in range(2, m + 1):
-        _union_padded_pairs(g, m, n, uf, gen_len)
-    return uf
+                below = starts[m - k][n - w]
+                count = total[m - k][n - w] - sum(below.get(u, 0) for u in covered)
+                if count:
+                    here[v] = here.get(v, 0) + count
+            total[m][n] = sum(here.values())
+    return total
 
 
 def gr_dimension(g: LayeredGraph, m: int, n: int) -> int:
     """dim of the bidegree-(m, n) component of the quotient by the full
-    relation ideal: the number of word classes under padded rewrites
-    (every relation is a difference of two words)."""
-    return _word_classes(g, m, n).count
+    relation ideal: the number of non-covering pair sequences."""
+    if m < 0 or n < 0:
+        return 0
+    return _sequence_counts(g, m, n)[m][n]
 
 
 def in_relation_span(
     g: LayeredGraph, el: FreeElement, m: int, n: int
 ) -> bool:
     """Whether el lies in the bidegree-(m, n) relation span: its
-    coefficients must sum to zero over every word class.  A term whose
-    word is not of bidegree (m, n) raises `DimensionMismatch`."""
+    coefficients must sum to zero over every word class, the words with
+    one normal form.  A term whose word is not of bidegree (m, n) raises
+    `DimensionMismatch`; one that `normalize` cannot rewrite, because a
+    run it must extend ends at a vertex with no successors, raises
+    `EmptySuccessor`."""
     positive = set(g.positive_vertices())
     for w in el.terms:
         if len(w) != m or word_weight(w) != n or not positive.issuperset(w):
             raise DimensionMismatch(
                 f"word {w} is not a word of bidegree ({m},{n})"
             )
-    uf = _word_classes(g, m, n)
     sums: dict[Word, object] = {}
     for w, c in el.terms.items():
-        root = uf.find(w)
-        sums[root] = sums.get(root, 0) + c
+        nf = normalize(g, w)
+        sums[nf] = sums.get(nf, 0) + c
     return all(el.field(total) == 0 for total in sums.values())
 
 
@@ -498,10 +476,11 @@ class HilbertTable:
 
 
 def gr_hilbert_table(g: LayeredGraph, max_m: int, max_n: int) -> HilbertTable:
-    entries = []
-    for m in range(1, max_m + 1):
-        for n in range(1, max_n + 1):
-            dim = gr_dimension(g, m, n)
-            if dim:
-                entries.append(((m, n), dim))
-    return HilbertTable("grA", max_m, max_n, tuple(entries))
+    total = _sequence_counts(g, max(max_m, 0), max(max_n, 0))
+    entries = tuple(
+        ((m, n), total[m][n])
+        for m in range(1, max_m + 1)
+        for n in range(1, max_n + 1)
+        if total[m][n]
+    )
+    return HilbertTable("grA", max_m, max_n, entries)

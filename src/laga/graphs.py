@@ -279,13 +279,12 @@ def successors(g: LayeredGraph, vertex_set: Iterable[V]) -> frozenset[V]:
 
 
 class _UnionFind:
-    """Classes of `size` items under union.  An item enters `parent` on
-    its first union, so items that no union touches are counted in
-    `count`, never stored; only non-root items are keys of `parent`."""
+    """Classes of vertices under union.  A vertex enters `parent` on its
+    first union, so vertices that no union touches are never stored;
+    only non-root vertices are keys of `parent`."""
 
-    def __init__(self, size: int):
+    def __init__(self):
         self.parent: dict = {}
-        self.count = size
 
     def find(self, x):
         parent = self.parent
@@ -302,7 +301,6 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
-            self.count -= 1
 
 
 @dataclass(frozen=True)
@@ -338,7 +336,7 @@ def class_partition(
     if n > g.top_level or any(not 0 <= v.index < g.levels[n] for v in vertex_set):
         raise LevelMismatch(f"vertices {sorted(vertex_set)} at level {n} are not in the graph")
     ground = g.level_vertices(n - 1)
-    uf = _UnionFind(len(ground))
+    uf = _UnionFind()
     for t in vertex_set:
         ws = g.succ(t)
         for a, b in zip(ws, ws[1:]):

@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from laga import (
     QQ,
     BudgetExceeded,
     DimensionMismatch,
+    EmptySuccessor,
     FreeElement,
     KOutOfRange,
     V,
@@ -36,7 +39,6 @@ from laga import (
     word_weight,
     words_of_bidegree,
 )
-from laga.gralgebra import _generator_word_pairs, _word_count
 
 
 def test_distinguished_path_follows_least_successor(boolean3):
@@ -157,7 +159,6 @@ def test_words_of_bidegree(boolean3):
 def test_words_of_negative_length_agree_with_the_count(boolean3):
     for n in (-1, 0, 1, 3):
         assert words_of_bidegree(boolean3, -1, n) == []
-        assert _word_count(boolean3, -1, n) == 0
 
 
 def test_free_element_repr_renders_the_empty_word_as_its_coefficient():
@@ -202,10 +203,23 @@ def test_pair_sequences_respect_budget(monkeypatch, boolean3):
     assert len(enumerate_B_basis(boolean3, 3, 6)) == 64
 
 
-def _dense_class_count(g, m, n, max_gen_len):
+def _generator_word_pairs(g, gen_len):
+    """Each equal-start path-difference generator as a pair of words: a
+    vertex's first positive path of gen_len vertices with each other."""
+    pairs = []
+    for v in g.positive_vertices():
+        paths = [(v,)]
+        for _ in range(gen_len - 1):
+            paths = [p + (w,) for p in paths for w in g.succ(p[-1]) if w.level > 0]
+        pairs.extend((paths[0], other) for other in paths[1:])
+    return pairs
+
+
+def _dense_classes(g, m, n, max_gen_len):
     """Brute-force oracle of the word classes: a list union-find over
     every word of the bidegree, merging each word with every rewrite of
-    one of its factors along a generator of length <= max_gen_len."""
+    one of its factors along a generator of length <= max_gen_len.
+    Returns each word's class root."""
     words = words_of_bidegree(g, m, n)
     index = {w: i for i, w in enumerate(words)}
     parent = list(range(len(words)))
@@ -224,14 +238,17 @@ def _dense_class_count(g, m, n, max_gen_len):
                 for other in rewrites.get(w[i : i + gen_len], ()):
                     j = index[w[:i] + other + w[i + gen_len :]]
                     parent[find(index[w])] = find(j)
-    return sum(find(i) == i for i in range(len(words)))
+    return {w: find(i) for i, w in enumerate(words)}
+
+
+def _dense_class_count(g, m, n, max_gen_len):
+    return len(set(_dense_classes(g, m, n, max_gen_len).values()))
 
 
 def _check_word_classes(g):
     first_failure = None
     for m in range(0, 5):
         for n in range(0, m * g.top_level + 2):
-            assert _word_count(g, m, n) == len(words_of_bidegree(g, m, n))
             full = _dense_class_count(g, m, n, m)
             assert gr_dimension(g, m, n) == full
             if m >= 3 and first_failure is None and _dense_class_count(g, m, n, 2) != full:
@@ -305,16 +322,8 @@ def test_quadratic_at_the_scale_rungs():
 
 
 def test_word_classes_respect_budget(monkeypatch, boolean3):
-    """The classes count the words of a bidegree without building them,
-    and the count is held to LAGA_BUDGET; so is the number of words the
-    quadraticity check's rewrite search reaches."""
-    count = _word_count(boolean3, 3, 6)
-    assert count == len(words_of_bidegree(boolean3, 3, 6)) == 81
-    monkeypatch.setenv("LAGA_BUDGET", str(count - 1))
-    with pytest.raises(BudgetExceeded, match=r"bidegree \(3,6\) word count"):
-        gr_dimension(boolean3, 3, 6)
-    monkeypatch.setenv("LAGA_BUDGET", str(count))
-    assert gr_dimension(boolean3, 3, 6) == len(enumerate_B_basis(boolean3, 3, 6))
+    """The number of words the quadraticity check's rewrite search
+    reaches is held to LAGA_BUDGET."""
     # at d = 3 only the top vertex has 3-vertex paths, and degree-2
     # rewrites of its first path reach all 3 * 3 words (top, a, b) of
     # bidegree (3,6)
@@ -326,10 +335,9 @@ def test_word_classes_respect_budget(monkeypatch, boolean3):
 
 
 def test_word_classes_build_only_the_pads(monkeypatch, boolean3):
-    """The dimension count enumerates only the shorter pads around a
-    generator, never the words of the bidegree itself; the quadraticity
-    check walks degree-2 rewrites from the unpadded generators and
-    enumerates no words at all."""
+    """The dimension count and the Hilbert table count pair sequences
+    and enumerate no words; the quadraticity check walks degree-2
+    rewrites from the unpadded generators and enumerates none either."""
     lengths = []
 
     def spy(g, m, n):
@@ -337,11 +345,103 @@ def test_word_classes_build_only_the_pads(monkeypatch, boolean3):
         return words_of_bidegree(g, m, n)
 
     monkeypatch.setattr("laga.gralgebra.words_of_bidegree", spy)
-    gr_dimension(boolean3, 4, 8)
-    assert lengths and max(lengths) <= 2
-    lengths.clear()
+    assert gr_dimension(boolean3, 4, 8) == 315
+    gr_hilbert_table(boolean3, 4, 12)
     is_quadratic_to_degree(boolean3, 4)
     assert lengths == []
+
+
+@pytest.mark.parametrize(
+    "make, max_m, max_n, digest",
+    [
+        (
+            lambda: build_boolean(6),
+            4,
+            24,
+            "b0140c514f00417fe73f63286e1ac5c59b8e626b4ea32db5da8642b722f67338",
+        ),
+        (
+            lambda: build_subspace_lattice(2, 4),
+            4,
+            16,
+            "60eba7314b1a70b03b0bbfce5edc6da329722dbf5b48f46ad32daf94fdb73a79",
+        ),
+    ],
+    ids=["boolean6", "subspace24"],
+)
+def test_gr_hilbert_table_at_the_scale_rungs(make, max_m, max_n, digest):
+    """The grA tables of the scale rungs at word length 4, pinned to the
+    digests the former word union-find gave (4 s and 7 s there)."""
+    g = make()
+    start = time.perf_counter()
+    table = gr_hilbert_table(g, max_m, max_n)
+    assert time.perf_counter() - start < 2.0
+    assert hashlib.sha256(repr(table.entries).encode()).hexdigest() == digest
+
+
+def _childless_top():
+    """V(2,1) has no successors, so it has no 2-vertex path, and (2,3)
+    has dimension 4, not 5."""
+    return build_graph([1, 1, 2], [((1, 0), (0, 0)), ((2, 0), (1, 0))], unique_minimal=True)
+
+
+def _childless_middle():
+    """V(2,0) has no successors, but V(3,0) reaches V(1,0) through V(2,1)."""
+    return build_graph(
+        [1, 1, 2, 1],
+        [((1, 0), (0, 0)), ((2, 1), (1, 0)), ((3, 0), (2, 0)), ((3, 0), (2, 1))],
+        unique_minimal=True,
+    )
+
+
+@pytest.mark.parametrize("make", [_childless_top, _childless_middle])
+def test_pair_sequences_skip_pairs_without_a_path(make):
+    """A pair (v, k) counts only when v has a positive path of k
+    vertices; a childless vertex at level 2 has none of length 2."""
+    g = make()
+    for m in range(0, 5):
+        for n in range(0, m * g.top_level + 2):
+            count = len(enumerate_B_basis(g, m, n))
+            assert count == gr_dimension(g, m, n) == _dense_class_count(g, m, n, m)
+
+
+def test_normalize_names_a_run_that_cannot_grow():
+    g = _childless_middle()
+    # (3,0) first moves to its first successor (2,0), which has none
+    with pytest.raises(EmptySuccessor, match=r"V\(level=2, index=0\) has no successors"):
+        normalize(g, (V(3, 0), V(2, 1), V(1, 0)))
+
+
+def test_normalize_needs_no_unique_minimal_vertex():
+    g = random_layered_graph(random.Random(290), max_levels=4, max_width=3, unique_minimal=False)
+    assert not g.unique_minimal
+    for m in range(1, 4):
+        for n in range(1, m * g.top_level + 1):
+            forms = {normalize(g, w) for w in words_of_bidegree(g, m, n)}
+            assert len(forms) == gr_dimension(g, m, n)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_relation_span_matches_the_dense_classes(seed, unique_minimal):
+    """Two words differ by a relation exactly when the dense oracle puts
+    them in one class: each word against its class's first word, and the
+    first words of every two classes against each other."""
+    g = random_layered_graph(
+        random.Random(seed), max_levels=4, max_width=3, unique_minimal=unique_minimal
+    )
+    for m in range(1, 4):
+        for n in range(1, m * g.top_level + 1):
+            classes = _dense_classes(g, m, n, m)
+            first = {}
+            for w, root in classes.items():
+                first.setdefault(root, w)
+            for w, root in classes.items():
+                diff = FreeElement.word(w) - FreeElement.word(first[root])
+                assert in_relation_span(g, diff, m, n)
+            for a, b in itertools.combinations(first.values(), 2):
+                diff = FreeElement.word(a) - FreeElement.word(b)
+                assert not in_relation_span(g, diff, m, n)
 
 
 def test_word_enumeration_leaves_no_reference_cycles(boolean3):
