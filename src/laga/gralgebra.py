@@ -110,20 +110,26 @@ def distinguished_path(g: LayeredGraph, v: V) -> tuple[V, ...]:
     following the least successor at every step."""
     if not g.unique_minimal:
         raise MultipleMinimal("distinguished paths need a unique minimal vertex")
+    return _distinguished_run(g, v, v.level + 1)
+
+
+def _distinguished_run(g: LayeredGraph, v: V, k: int) -> tuple[V, ...]:
+    """The first k vertices of v's distinguished path, in k - 1 steps:
+    only they need successors, and no unique minimal vertex is needed."""
     path = [v]
-    while path[-1].level > 0:
+    while len(path) < k:
         nxt = g.succ(path[-1])
         if not nxt:
             raise EmptySuccessor(f"{path[-1]} has no successors")
         path.append(nxt[0])
-    return tuple(path)
+    return tuple(path[:k])
 
 
 def monomial_m(g: LayeredGraph, v: V, k: int, field: FieldSpec = QQ) -> FreeElement:
-    """The word made of the first k vertices of the distinguished path."""
+    """The word of the first k vertices of v's distinguished path."""
     if not 0 <= k <= v.level:
         raise KOutOfRange(f"k={k} outside 0..{v.level}")
-    return FreeElement.word(distinguished_path(g, v)[:k], field)
+    return FreeElement.word(_distinguished_run(g, v, k), field)
 
 
 def e_tilde(g: LayeredGraph, v: V, k: int, field: FieldSpec = QQ) -> FreeElement:
@@ -202,43 +208,34 @@ def covers_pair(g: LayeredGraph, p1: tuple[V, int], p2: tuple[V, int]) -> bool:
 
 
 def sequence_monomial(g: LayeredGraph, pairs: PairSequence) -> Word:
+    """The word of a pair sequence: each (v, k) gives `_distinguished_run`."""
     out: list[V] = []
     for v, k in pairs:
-        out.extend(distinguished_path(g, v)[:k])
+        out.extend(_distinguished_run(g, v, k))
     return tuple(out)
 
 
 def normalize(g: LayeredGraph, word: Word) -> Word:
-    """Rewrite a word until its pair sequence has no covering step.
-
-    Whenever a run of length k starting at b is followed by a vertex
-    reachable from b by a length-k path, the run absorbs that vertex:
-    the first successor of the run's last vertex takes its place, which
-    extends the run along first successors.  The rewrite preserves the
-    image in the quotient by equal-start path differences.  A run whose
-    last vertex has no successors cannot absorb anything and raises
-    `EmptySuccessor`.
-    """
-    word = tuple(word)
-    for _ in range(10 * (len(word) + 1) ** 2):
-        s = skeleton(g, word)
-        pairs = to_pair_sequence(g, word)
-        bad = next(
-            (
-                i
-                for i in range(len(pairs) - 1)
-                if covers_pair(g, pairs[i], pairs[i + 1])
-            ),
-            None,
-        )
-        if bad is None:
-            return word
-        covered = s[bad + 1] - 1  # 0-based position of the covered vertex
-        nxt = g.succ(word[covered - 1])
-        if not nxt:
-            raise EmptySuccessor(f"{word[covered - 1]} has no successors")
-        word = word[:covered] + nxt[:1] + word[covered + 1 :]
-    raise AssertionError("normalize failed to terminate")  # pragma: no cover
+    """Rewrite a word until its pair sequence has no covering step, in
+    one left-to-right pass: when a run of length k starting at b meets a
+    vertex reachable from b by a length-k path, the first successor of
+    the run's last vertex takes that vertex's place, extending the run.
+    The rewrite preserves the image in the quotient by equal-start path
+    differences and changes nothing to its left, so no earlier step can
+    become covering.  A run whose last vertex has no successors cannot
+    grow and raises `EmptySuccessor`."""
+    out: list[V] = []
+    start = 0  # where the current run begins in out
+    for x in word:
+        if out and g.succ(out[-1])[:1] != (x,):
+            if not covers_pair(g, (out[start], len(out) - start), (x, 1)):
+                start = len(out)
+            elif g.succ(out[-1]):
+                x = g.succ(out[-1])[0]
+            else:
+                raise EmptySuccessor(f"{out[-1]} has no successors")
+        out.append(x)
+    return tuple(out)
 
 
 def _pair_table(g: LayeredGraph, max_len: int):

@@ -33,7 +33,6 @@ from .balgebra import (
     BElement,
     degree2_product,
     iso_condition_check,
-    kappa_combinatorial,
 )
 from .errors import (
     DimensionMismatch,
@@ -127,57 +126,57 @@ class AlgebraView:
 
 
 def _propose_move(d, pairs, fat, field, rng, nonzero):
-    """One candidate elementary level-n move: unipotent shear along a
-    kappa containment (`pairs`), a swap inside a kappa-equality class
-    (`fat`), or a single vertex scaling.  May return None when no
-    candidate exists."""
-    eye = identity(d, field)
+    """One candidate elementary level-n move (a, b, c) on the columns of
+    the level map: add c times column a to column b along a kappa
+    containment (`pairs`), swap columns a and b inside a kappa-equality
+    class (`fat`, c is None), or scale column a == b by c.  May return
+    None when no candidate exists."""
     kind = rng.randrange(3)
-    if kind == 0:
-        if not pairs:
-            return None
+    if kind == 0 and pairs:
         v, w = rng.choice(pairs)
-        eye[v.index][w.index] = field(rng.choice(nonzero))
-    elif kind == 1:
-        if not fat:
-            return None
+        return v.index, w.index, field(rng.choice(nonzero))
+    if kind == 1 and fat:
         a, b = rng.sample(rng.choice(fat), 2)
-        eye[a.index], eye[b.index] = eye[b.index], eye[a.index]
-    else:
+        return a.index, b.index, None
+    if kind == 2:
         i = rng.randrange(d)
-        eye[i][i] = field(rng.choice(nonzero))
-    return eye
+        return i, i, field(rng.choice(nonzero))
+    return None
 
 
-def _move_preserves_kappas(g, n, move, kappas, field) -> bool:
-    """`iso_condition_check(g, g, {n: move}, field)` for a level-n move
-    from `_propose_move`, checked only at level n+1.
+def _move_kept(above, move) -> bool:
+    """Whether a level-n move maps each kappa(u) one level up onto itself.
+    above[i] holds the u with i in wide(u); kappa(u) is the y constant on
+    wide(u), so a move must keep those coordinates in step: a swap when a
+    and b lie in the same wide sets, a shear or a scaling by c != 1 only
+    when b lies in none (else the constant vector leaves kappa(u))."""
+    a, b, c = move
+    if c is None:
+        return above[a] == above[b]
+    return not above[b] or (a == b and c == 1)
 
-    Such a move keeps the kappa of each row it changes, as the kappa of a
-    support is the intersection of its vertices' kappas (one degree-2
-    block per left vertex): a shear adds c*e_w to row v only where
-    kappa(w) contains kappa(v), a swap stays inside a group of equal
-    kappas, and a scaling keeps the support.  At level n+1 each kappa(v)
-    must map onto itself; an invertible map keeps dimensions, so onto is
-    into, and a basis row of kappa(v) zero on every changed row is fixed.
-    """
-    if n == g.top_level:
-        return True
-    eye = identity(g.levels[n], field)
-    changed = [i for i, row in enumerate(move) if row != eye[i]]
-    for v in g.level_vertices(n + 1):
-        kv = kappas[v]
-        moved = [x for x in kv.basis if any(x[i] != 0 for i in changed)]
-        if not all(kv.contains_vector(field.combine(x, move)) for x in moved):
-            return False
-    return True
+
+def _apply_move(mat, move, field) -> None:
+    """Apply a move from `_propose_move` to the columns of mat in place."""
+    a, b, c = move
+    for row in mat:
+        if c is None:
+            row[a], row[b] = row[b], row[a]
+        elif a == b:
+            row[b] = field(c * row[b])
+        else:
+            row[b] = field(row[b] + c * row[a])
 
 
 def _scramble_maps(g: LayeredGraph, field: FieldSpec, rng) -> dict[int, list[list]]:
     """Random per-level invertible maps certified to induce a bigraded
     isomorphism: a random graph automorphism, whole-level scalars, and
-    elementary moves that keep every vertex kappa, each kept only if it
-    maps the kappas one level up onto themselves."""
+    elementary moves that keep every vertex kappa.  kappa(v) is fixed by
+    wide(v), S(v) when |S(v)| >= 2 and empty otherwise: kappa(w) contains
+    kappa(v) exactly when wide(w) <= wide(v).  Shears follow those
+    containments, swaps stay in groups of equal wide sets, `_move_kept`
+    decides each move, and the whole-graph `iso_condition_check`
+    certifies the result."""
     auto = are_isomorphic(g, g, rng=rng)
     maps = {}
     for n in range(1, g.top_level + 1):
@@ -186,9 +185,8 @@ def _scramble_maps(g: LayeredGraph, field: FieldSpec, rng) -> dict[int, list[lis
         for i in range(d):
             mat[i][auto[V(n, i)].index] = field.one
         maps[n] = mat
-    kappas = {
-        v: kappa_combinatorial(g, [v], field=field) for v in g.positive_vertices()
-    }
+    wide = {v: frozenset(g.succ(v)) for v in g.positive_vertices()}
+    wide = {v: s if len(s) >= 2 else frozenset() for v, s in wide.items()}
     nonzero = list(range(1, field.p)) if field.p else [1, 2, 3, -1, -2]
     for n in range(1, g.top_level + 1):
         lam = field(rng.choice(nonzero))
@@ -197,21 +195,19 @@ def _scramble_maps(g: LayeredGraph, field: FieldSpec, rng) -> dict[int, list[lis
         if d < 2:
             continue
         verts = g.level_vertices(n)
-        pairs = [
-            (v, w)
-            for v in verts
-            for w in verts
-            if v != w and kappas[w].contains_subspace(kappas[v])
-        ]
+        pairs = [(v, w) for v in verts for w in verts if v != w and wide[w] <= wide[v]]
         groups: dict = {}
         for v in verts:
-            groups.setdefault(kappas[v].key(), []).append(v)
+            groups.setdefault(wide[v], []).append(v)
         fat = [vs for vs in groups.values() if len(vs) >= 2]
+        upper = g.level_vertices(n + 1) if n < g.top_level else ()
+        above = [{u for u in upper if v in wide[u]} for v in verts]
         for _ in range(3 * d):
             move = _propose_move(d, pairs, fat, field, rng, nonzero)
-            if move is not None and _move_preserves_kappas(g, n, move, kappas, field):
-                maps[n] = [field.combine(row, move) for row in maps[n]]
-    assert iso_condition_check(g, g, maps, field)
+            if move is not None and _move_kept(above, move):
+                _apply_move(maps[n], move, field)
+    if not iso_condition_check(g, g, maps, field):
+        raise VerificationFailed("scramble maps do not induce a bigraded isomorphism")
     return maps
 
 

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -15,6 +16,7 @@ from laga import (
     EmptySuccessor,
     FreeElement,
     KOutOfRange,
+    MultipleMinimal,
     V,
     build_boolean,
     build_complete_layered,
@@ -39,6 +41,7 @@ from laga import (
     word_weight,
     words_of_bidegree,
 )
+from laga.gralgebra import covers_pair
 
 
 def test_distinguished_path_follows_least_successor(boolean3):
@@ -91,12 +94,30 @@ def test_pair_weight():
 
 
 def test_sequence_monomial_round_trip(boolean3):
-    for m in range(1, 4):
-        for n in range(1, 9):
-            for pairs in enumerate_B_basis(boolean3, m, n):
-                word = sequence_monomial(boolean3, pairs)
-                assert to_pair_sequence(boolean3, word) == pairs
-                assert len(word) == m and word_weight(word) == n
+    """Basis sequences round-trip through their words and are fixed by
+    `normalize`, also without a unique minimal vertex and above a
+    childless vertex: a run walks only its own vertices."""
+    no_minimal = random_layered_graph(
+        random.Random(290), max_levels=4, max_width=3, unique_minimal=False
+    )
+    unwritable = []
+    for g in (boolean3, no_minimal, _childless_middle()):
+        for m in range(1, 4):
+            for n in range(1, m * g.top_level + 1):
+                for pairs in enumerate_B_basis(g, m, n):
+                    try:
+                        word = sequence_monomial(g, pairs)
+                    except EmptySuccessor:
+                        unwritable.append(pairs)
+                        continue
+                    assert to_pair_sequence(g, word) == pairs
+                    assert len(word) == m and word_weight(word) == n
+                    assert normalize(g, word) == word
+    # its run must go through V(2,0), which has no successors
+    assert unwritable == [((V(3, 0), 3),)]
+    # the whole distinguished path still needs the unique minimal vertex
+    with pytest.raises(MultipleMinimal):
+        distinguished_path(no_minimal, no_minimal.level_vertices(1)[0])
 
 
 def test_normalize_fixes_basis_words(boolean3):
@@ -410,6 +431,55 @@ def test_normalize_names_a_run_that_cannot_grow():
     # (3,0) first moves to its first successor (2,0), which has none
     with pytest.raises(EmptySuccessor, match=r"V\(level=2, index=0\) has no successors"):
         normalize(g, (V(3, 0), V(2, 1), V(1, 0)))
+
+
+def _normalize_by_rewrites(g, word):
+    """Reference for `normalize`: rewrite the first covering step of the
+    pair sequence and start over.  Each rewrite lies right of the one
+    before, so there are at most len(word) of them."""
+    word = tuple(word)
+    for _ in range(len(word) + 1):
+        s = skeleton(g, word)
+        pairs = to_pair_sequence(g, word)
+        bad = next(
+            (i for i in range(len(pairs) - 1) if covers_pair(g, pairs[i], pairs[i + 1])),
+            None,
+        )
+        if bad is None:
+            return word
+        covered = s[bad + 1] - 1  # 0-based position of the covered vertex
+        nxt = g.succ(word[covered - 1])
+        if not nxt:
+            raise EmptySuccessor(f"{word[covered - 1]} has no successors")
+        word = word[:covered] + nxt[:1] + word[covered + 1 :]
+    raise AssertionError("more rewrites than letters")
+
+
+def test_normalize_is_the_rewrite_loop():
+    """The one-pass `normalize` gives the rewrite loop's word, or its
+    `EmptySuccessor` message, on every word of these bidegrees."""
+    graphs = [build_boolean(3), build_subspace_lattice(2, 3), _childless_middle()]
+    graphs += [
+        random_layered_graph(
+            random.Random(seed), max_levels=4, max_width=3, unique_minimal=seed % 2 == 0
+        )
+        for seed in range(20)
+    ]
+    rewritten = failed = 0
+    for g in graphs:
+        for m in range(1, 5):
+            for n in range(1, m * g.top_level + 1):
+                for word in words_of_bidegree(g, m, n):
+                    try:
+                        expected = _normalize_by_rewrites(g, word)
+                    except EmptySuccessor as err:
+                        failed += 1
+                        with pytest.raises(EmptySuccessor, match=re.escape(str(err))):
+                            normalize(g, word)
+                        continue
+                    assert normalize(g, word) == expected
+                    rewritten += expected != word
+    assert rewritten and failed
 
 
 def test_normalize_needs_no_unique_minimal_vertex():

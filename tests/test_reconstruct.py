@@ -41,6 +41,7 @@ from laga import (
     kernel,
     left_kernel,
     outdegree_multiset,
+    random_uniform_graph,
     rank,
     reconstruct_boolean,
     reconstruct_nonnesting,
@@ -56,10 +57,11 @@ from laga.linalg import enumerate_rays, identity, matrix_apply, transpose
 from laga.reconstruct import (
     _CLOSURE_PASSES_PER_SET,
     _KERNEL_DRAWS_PER_RAY,
+    _apply_move,
     _closure_vertex_rays,
     _exhaustive_scan,
     _level_one_sets,
-    _move_preserves_kappas,
+    _move_kept,
     _right_mult_kernel,
     _sampled_vertex_rays,
 )
@@ -133,6 +135,13 @@ def test_scrambled_views_are_pinned(spec, p, seed, digest):
         (("complete", 1, 2, 2, 2), 3),
         (("nested",), 2),
         (("nested",), 3),
+        # random uniform graphs with out-degree-1 vertices at levels >= 2,
+        # whose kappa is everything: shears run into them from any vertex
+        (("uniform", 6), 3),
+        (("uniform", 26), 2),
+        (("uniform", 26), 3),
+        (("uniform", 26), None),
+        (("uniform", 35), 3),
     ],
 )
 def test_local_move_check_is_the_whole_graph_check(spec, p, request, monkeypatch):
@@ -140,30 +149,65 @@ def test_local_move_check_is_the_whole_graph_check(spec, p, request, monkeypatch
         g = request.getfixturevalue("nested_graph")
     elif spec[0] == "complete":
         g = build_complete_layered(spec[1:])
+    elif spec[0] == "uniform":
+        g = random_uniform_graph(random.Random(spec[1]), max_levels=4, max_width=4)
     else:
         g = _lattice(spec)
     field = GF(p) if p else QQ
+    # above[i] for each level, from the successor sets: the level-(n+1)
+    # vertices u with |S(u)| >= 2 and V(n, i) in S(u)
+    aboves = {
+        n: [
+            {u for u in g.level_vertices(n + 1) if len(g.succ(u)) >= 2 and v in g.succ(u)}
+            if n < g.top_level
+            else set()
+            for v in g.level_vertices(n)
+        ]
+        for n in range(1, g.top_level + 1)
+    }
     verdicts = []
     mixing = []
 
-    def recording(g, n, move, kappas, field):
-        local = _move_preserves_kappas(g, n, move, kappas, field)
-        assert local == iso_condition_check(g, g, {n: move}, field), (n, move)
-        verdicts.append(local)
+    def recording(above, move):
+        kept = _move_kept(above, move)
+        a, b, c = move
+        matrix = identity(len(above), field)
+        if c is None:
+            matrix[a], matrix[b] = matrix[b], matrix[a]
+        else:
+            matrix[a][b] = c
+        moved = identity(len(above), field)
+        _apply_move(moved, move, field)
+        assert moved == matrix
+        # the levels whose successor sets give this `above` (more than
+        # one only when all its sets are empty)
+        levels = [n for n, ab in aboves.items() if ab == above]
+        assert levels
+        for n in levels:
+            assert kept == iso_condition_check(g, g, {n: matrix}, field), (n, move)
+        verdicts.append(kept)
         # a shear or a swap has an entry off the diagonal
-        if n >= 2 and any(x for i, row in enumerate(move) for j, x in enumerate(row) if i != j):
-            mixing.append(n)
-        return local
+        if a != b and min(levels) >= 2:
+            mixing.append(move)
+        return kept
 
-    monkeypatch.setattr(laga.reconstruct, "_move_preserves_kappas", recording)
+    monkeypatch.setattr(laga.reconstruct, "_move_kept", recording)
     for seed in (1, 2, 3):
         algebra_view(g, field, scramble_seed=seed)
-    # both verdicts occur, so neither side of the check is vacuous
+    # both verdicts occur, so neither side of the rule is vacuous
     assert set(verdicts) == {True, False}
-    # the local check does not look at level n itself, so agreement on
-    # shears and swaps at levels >= 2 shows that they keep its kappas
+    # the rule does not look at level n itself, so agreement on shears
+    # and swaps at levels >= 2 shows that they keep its kappas
     if spec[0] in ("complete", "nested"):
         assert mixing
+
+
+def test_scramble_certificate_is_an_error_not_an_assert(boolean3, monkeypatch):
+    # the whole-graph certificate is the one check on the move rule, so
+    # it must survive `python -O`
+    monkeypatch.setattr(laga.reconstruct, "iso_condition_check", lambda *args: False)
+    with pytest.raises(VerificationFailed, match="bigraded isomorphism"):
+        algebra_view(boolean3, GF(3), scramble_seed=1)
 
 
 def test_kappa_view_matches_combinatorial_on_plain(boolean3):
