@@ -223,8 +223,20 @@ def kappa_combinatorial(
     return span(gens, width, field)
 
 
+def _check_kappa_element(g: LayeredGraph, a: BElement) -> None:
+    """Both kappa paths take an element of a positive level of g, with
+    one coordinate per vertex of that level."""
+    if a.level < 1:
+        raise MixedLevels("kappa needs a positive level")
+    if a.level > g.top_level:
+        raise LevelMismatch(f"level {a.level} outside 1..{g.top_level}")
+    if len(a.coords) != g.levels[a.level]:
+        raise LevelMismatch(f"{len(a.coords)} coords at level of size {g.levels[a.level]}")
+
+
 def kappa_of_element(g: LayeredGraph, a: BElement) -> Subspace:
     """Primary path: kappa of an arbitrary element via its support."""
+    _check_kappa_element(g, a)
     if not a.support():
         return full_space(g.levels[a.level - 1], a.field)
     return kappa_combinatorial(g, a.support(), field=a.field)
@@ -237,24 +249,39 @@ def degree2_product(g: LayeredGraph, n: int, x, y, field: FieldSpec = QQ) -> tup
     The relation space splits into one block per left vertex v: every
     non-successor column and the first successor s0 (successors are
     sorted) are pivots, so v contributes x_v * (y_s - y_s0) for each
-    further successor s, and nothing when it has at most one."""
+    further successor s, and nothing when it has at most one.  A block
+    with x_v = 0 is zero without field arithmetic, and an entry with
+    y_s = y_s0 without a product, so a vertex element, a unit vector or
+    a sparse level map costs little.  A level outside 1..top or a wrong
+    coordinate count raises `LevelMismatch`."""
+    if not 1 <= n <= g.top_level:
+        raise LevelMismatch(f"level {n} outside 1..{g.top_level}")
+    if len(x) != g.levels[n] or len(y) != g.levels[n - 1]:
+        raise LevelMismatch(
+            f"{len(x)} and {len(y)} coords at levels of sizes {g.levels[n]} and {g.levels[n - 1]}"
+        )
     x = field.vector(x)
     y = field.vector(y)
+    zero = field.zero
     out = []
     for v in g.level_vertices(n):
         succ = g.succ(v)
         a = x[v.index]
-        out += [field(a * (y[s.index] - y[succ[0].index])) for s in succ[1:]]
+        if not a or len(succ) < 2:
+            out += [zero] * (len(succ) - 1)
+            continue
+        y0 = y[succ[0].index]
+        diffs = (y[s.index] - y0 for s in succ[1:])
+        out += [field(a * d) if d else zero for d in diffs]
     return tuple(out)
 
 
 def kappa_kernel(g: LayeredGraph, a: BElement) -> Subspace:
     """Oracle path: kernel of left multiplication into the degree-2
     component, computed from structure constants."""
+    _check_kappa_element(g, a)
     field = a.field
     n = a.level
-    if n < 1:
-        raise MixedLevels("kappa needs a positive level")
     width = g.levels[n - 1]
     if n == 1:
         # products with the minimal level all vanish
@@ -279,7 +306,10 @@ def quadratic_dual_check(g: LayeredGraph, n: int, field: FieldSpec = QQ) -> bool
     span(e_s0 - e_s) for each successor s after the first, s0.  Their
     dimensions, d_{n-1} - |S(v)| + 1 and |S(v)| - 1 (d_{n-1} and 0 when
     S(v) is empty), sum to d_{n-1}, and they pair to zero, on every graph
-    and over every field.  `koszul_defect` is the check that can fail."""
+    and over every field.  `koszul_defect` is the check that can fail.
+    A level outside 1..top raises `LevelMismatch`."""
+    if not 1 <= n <= g.top_level:
+        raise LevelMismatch(f"level {n} outside 1..{g.top_level}")
     uniform, _ = is_uniform(g)
     if not uniform:
         raise NotUniform("quadratic duality needs a uniform graph")

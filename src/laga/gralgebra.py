@@ -6,7 +6,9 @@ distinguished downward paths, the coefficient elements obtained by
 expanding edge products, run monomials m(v, k), and the pair-sequence
 basis with its normal-form rewriting.  A bidegree's dimension is the
 number of its non-covering (vertex, run-length) pair sequences, counted
-without building them; a word's class is its normal form.
+without building them; `enumerate_B_basis` lists them by the same
+recurrence, prepending one pair to the lists of shorter bidegrees.  A
+word's class is its normal form.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import LayeredGraph, V, _reach_map, memo
+from .graphs import LayeredGraph, V, memo
 from .linalg import enumeration_budget
 
 Word = tuple[V, ...]
@@ -242,49 +244,72 @@ def _pair_table(g: LayeredGraph, max_len: int):
     """Every pair (v, k) with k <= max_len for which v has a positive
     path of k vertices, in the canonical order, as (pair, k, weight,
     covered): a pair (v, k) may not be followed by a pair starting at a
-    covered vertex, one k levels below v that v reaches."""
-    reach = _reach_map(g)
-    longest: dict[V, int] = {}  # vertices on the longest positive path from v
+    covered vertex, one k levels below v that v reaches.  Those are the
+    vertices the positive successors of v cover with k - 1, or at k = 1
+    the successors of v."""
+    covers: dict[V, list[frozenset[V]]] = {}  # covers[v][k - 1]: covered by (v, k)
+    table = []
     for v in g.positive_vertices():  # level by level, upwards
-        longest[v] = 1 + max((longest[w] for w in g.succ(v) if w.level > 0), default=0)
-    return [
-        (
-            (v, k),
-            k,
-            pair_weight((v, k)),
-            frozenset(w for w in reach[v] if w.level == v.level - k),
-        )
-        for v in g.positive_vertices()
-        for k in range(1, min(longest[v], max_len) + 1)
-    ]
+        succ = g.succ(v)
+        below = [covers[w] for w in succ if w.level > 0]
+        # v has a positive path of k vertices when a successor has one of k - 1
+        longest = min(1 + max(map(len, below), default=0), max_len)
+        own = covers[v] = [frozenset(succ)] if longest else []
+        for k in range(2, longest + 1):
+            own.append(frozenset().union(*(c[k - 2] for c in below if len(c) >= k - 1)))
+        table += [((v, k), k, pair_weight((v, k)), c) for k, c in enumerate(own, 1)]
+    return table
 
 
 def enumerate_B_basis(g: LayeredGraph, m: int, n: int) -> list[PairSequence]:
     """All non-covering pair sequences of total word length m and vertex
-    weight n, in canonical order.  The number of sequences is held to
-    LAGA_BUDGET."""
+    weight n, in canonical order: (0, 0) has the empty sequence, and any
+    other bidegree with m <= 0 or n <= 0 has none.
+
+    The recurrence of `_sequence_counts`, on lists: going through the
+    pair table in order, each pair (v, k) is prepended to every sequence
+    of bidegree (m - k, n - weight) whose first vertex it does not
+    cover.  The shorter lists are in canonical order too, so the result
+    is.  Only the bidegrees the answer is assembled from are built, each
+    kept as runs of sequences with one first vertex, and each held to
+    LAGA_BUDGET sequences; the error names the requested bidegree.  None
+    is longer than the answer: inserting (v, k) before the first pair
+    that starts above v's level maps the sequences of (m - k, n - weight)
+    one to one into those of (m, n)."""
+    if m <= 0 or n <= 0:
+        return [()] if (m, n) == (0, 0) else []
     budget = enumeration_budget()
     table = _pair_table(g, m)
-    # an explicit stack, not a recursive closure: a closure that calls
-    # itself is a reference cycle, which would keep `out` alive until the
-    # cyclic collector ran
-    out: list[PairSequence] = []
-    stack: list[tuple[PairSequence, int, int, frozenset]] = [((), 0, 0, frozenset())]
-    while stack:
-        prefix, length, weight, covered = stack.pop()
-        if length == m and weight == n:
-            out.append(prefix)
-            if len(out) > budget:
-                raise BudgetExceeded(f"bidegree ({m},{n}) pair sequence count")
-            continue
-        if length >= m or weight >= n:
-            continue
-        stack.extend(
-            (prefix + (pair,), length + k, weight + w, covers)
-            for pair, k, w, covers in reversed(table)
-            if length + k <= m and weight + w <= n and pair[0] not in covered
-        )
-    return out
+    # the bidegrees the answer is assembled from, one pair's step at a time
+    steps = {(k, w) for _, k, w, _ in table}
+    needed = {(m, n)}
+    todo = [(m, n)]
+    while todo:
+        length, weight = todo.pop()
+        for k, w in steps:
+            below = (length - k, weight - w)
+            if below not in needed and (below == (0, 0) or min(below) > 0):
+                needed.add(below)
+                todo.append(below)
+    # runs[(m', n')]: the sequences of that bidegree, as (first vertex,
+    # sequences) runs in canonical order; the empty sequence has no first
+    # vertex, so no pair covers it
+    runs: dict[tuple[int, int], list] = {(0, 0): [(None, [()])]}
+    for length, weight in sorted(needed - {(0, 0)}):
+        here = []
+        count = 0
+        for pair, k, w, covered in table:
+            below = runs.get((length - k, weight - w))
+            if below is None:
+                continue
+            seqs = [(pair,) + s for u, run in below if u not in covered for s in run]
+            if seqs:
+                here.append((pair[0], seqs))
+                count += len(seqs)
+                if count > budget:
+                    raise BudgetExceeded(f"bidegree ({m},{n}) pair sequence count")
+        runs[length, weight] = here
+    return [s for _, run in runs[m, n] for s in run]
 
 
 def words_of_bidegree(g: LayeredGraph, m: int, n: int) -> list[Word]:

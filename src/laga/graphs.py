@@ -377,9 +377,10 @@ def check_identities(g: LayeredGraph, vertex_set: Iterable[V], *, level: int | N
     return report
 
 
+@memo
 def is_uniform(g: LayeredGraph):
     """(True, None) or (False, witness vertex with its split classes),
-    read off one class partition per vertex."""
+    read off one class partition per vertex, once per graph."""
     for n in range(2, len(g.levels)):
         for v in g.level_vertices(n):
             sv = g.succ(v)

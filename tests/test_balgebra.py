@@ -15,6 +15,7 @@ from laga import (
     DimensionMismatch,
     FreeElement,
     LevelMismatch,
+    MixedLevels,
     NotUniform,
     UnsupportedField,
     V,
@@ -195,6 +196,35 @@ def test_kappa_intersects_over_support(boolean3):
     assert ka == k0.intersect(k1)
 
 
+def test_degree2_product_checks_its_levels_and_coordinates(boolean3):
+    x, y = vertex_element(boolean3, V(2, 0)).coords, vertex_element(boolean3, V(1, 0)).coords
+    assert degree2_product(boolean3, 2, x, y) == (QQ(-1), QQ(0), QQ(0))
+    for n, xs, ys in [(2, x[:2], y), (2, x, y + (QQ(0),)), (0, (), ()), (4, (QQ(1),), y)]:
+        with pytest.raises(LevelMismatch):
+            degree2_product(boolean3, n, xs, ys)
+
+
+@pytest.mark.parametrize(
+    "level, coords, error",
+    [
+        (2, (1,), LevelMismatch),  # too few coordinates
+        (2, (1, 0, 0, 5), LevelMismatch),  # too many
+        (0, (), MixedLevels),  # below level 1
+        (4, (1,), LevelMismatch),  # above the top level
+        (5, (0,), LevelMismatch),
+    ],
+)
+def test_both_kappa_paths_reject_malformed_elements(boolean3, level, coords, error):
+    """A malformed element raises one error type on either path, where
+    the oracle once raised `IndexError` or dropped a coordinate and the
+    class-sum path answered for another level."""
+    a = BElement(QQ, level, tuple(QQ(c) for c in coords))
+    with pytest.raises(error):
+        kappa_of_element(boolean3, a)
+    with pytest.raises(error):
+        kappa_kernel(boolean3, a)
+
+
 def test_k_stats(boolean3):
     k, k_meeting, s = k_stats(boolean3, [V(2, 0)])
     assert (k, k_meeting, s) == (2, 1, 2)
@@ -223,6 +253,13 @@ def test_quadratic_duality_needs_uniform(nonuniform_graph, nested_graph):
     for g in (nonuniform_graph, nested_graph):
         for n in range(2, g.top_level + 1):
             assert _dense_pairing_holds(g, n, QQ)
+
+
+def test_quadratic_dual_check_rejects_levels_outside_the_graph(boolean3):
+    assert all(quadratic_dual_check(boolean3, n) for n in range(1, 4))
+    for n in (-1, 0, 4, 99):
+        with pytest.raises(LevelMismatch):
+            quadratic_dual_check(boolean3, n)
 
 
 def _dense_pairing_holds(g, n, field):

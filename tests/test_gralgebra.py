@@ -41,7 +41,7 @@ from laga import (
     word_weight,
     words_of_bidegree,
 )
-from laga.gralgebra import covers_pair
+from laga.gralgebra import _vertex_paths_from, covers_pair
 
 
 def test_distinguished_path_follows_least_successor(boolean3):
@@ -222,6 +222,78 @@ def test_pair_sequences_respect_budget(monkeypatch, boolean3):
         enumerate_B_basis(boolean3, 3, 6)
     monkeypatch.setenv("LAGA_BUDGET", "64")
     assert len(enumerate_B_basis(boolean3, 3, 6)) == 64
+
+
+def _basis_by_stack_search(g, m, n):
+    """Reference for `enumerate_B_basis`: the former stack search, which
+    extends every prefix by each pair that fits and does not follow a
+    pair covering it, pushed in reverse canonical order."""
+    pairs = [
+        (v, k)
+        for v in g.positive_vertices()
+        for k in range(1, min(v.level, max(m, 0)) + 1)
+        if _vertex_paths_from(g, v, k)
+    ]
+    out = []
+    stack = [((), 0, 0)]
+    while stack:
+        prefix, length, weight = stack.pop()
+        if length == m and weight == n:
+            out.append(prefix)
+            continue
+        if length >= m or weight >= n:
+            continue
+        stack.extend(
+            (prefix + (p,), length + p[1], weight + pair_weight(p))
+            for p in reversed(pairs)
+            if length + p[1] <= m
+            and weight + pair_weight(p) <= n
+            and not (prefix and covers_pair(g, prefix[-1], p))
+        )
+    return out
+
+
+def _reference_graphs():
+    graphs = [build_boolean(k) for k in (3, 4, 5)]
+    graphs += [build_subspace_lattice(2, 3), _childless_middle()]
+    return graphs + [
+        random_layered_graph(
+            random.Random(seed), max_levels=5, max_width=4, unique_minimal=seed % 2 == 0
+        )
+        for seed in range(40)
+    ]
+
+
+def test_pair_sequences_are_the_stack_search():
+    """The dynamic program lists the stack search's sequences in its
+    order, edge bidegrees included, also without a unique minimal vertex
+    and above a childless vertex."""
+    for g in _reference_graphs():
+        for m in range(-1, 4):
+            for n in range(-1, 10):
+                assert enumerate_B_basis(g, m, n) == _basis_by_stack_search(g, m, n)
+    assert enumerate_B_basis(build_boolean(3), 0, 0) == [()]
+
+
+def test_pair_sequences_budget_is_the_answer_size(monkeypatch):
+    """Every list the dynamic program builds is held to LAGA_BUDGET, and
+    none is longer than the answer: a shorter bidegree (m - k, n - w)
+    reached by a pair (v, k) of weight w injects into (m, n), by
+    inserting (v, k) before the first pair above v's level.  So the
+    answer's size is the least budget that passes, and the error names
+    the requested bidegree."""
+    for g in (build_boolean(3), build_subspace_lattice(2, 3), _childless_middle()):
+        for m in range(1, 4):
+            for n in range(1, m * g.top_level + 1):
+                monkeypatch.delenv("LAGA_BUDGET", raising=False)
+                count = len(enumerate_B_basis(g, m, n))
+                if not count:
+                    continue
+                monkeypatch.setenv("LAGA_BUDGET", str(count))
+                assert len(enumerate_B_basis(g, m, n)) == count
+                monkeypatch.setenv("LAGA_BUDGET", str(count - 1))
+                with pytest.raises(BudgetExceeded, match=rf"bidegree \({m},{n}\) pair"):
+                    enumerate_B_basis(g, m, n)
 
 
 def _generator_word_pairs(g, gen_len):

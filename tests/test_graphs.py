@@ -124,6 +124,8 @@ def test_uniform_examples(boolean3, subspace23, nonuniform_graph):
     assert is_uniform(subspace23) == (True, None)
     ok, witness = is_uniform(nonuniform_graph)
     assert not ok and witness[0] == V(3, 0)
+    # computed once per graph and kept on it
+    assert is_uniform(nonuniform_graph) is is_uniform(nonuniform_graph)
 
 
 def _down_up_connected(g, sv):

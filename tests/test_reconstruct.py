@@ -34,6 +34,7 @@ from laga import (
     gr_hilbert_table,
     intersection_size,
     is_quadratic_to_degree,
+    is_uniform,
     iso_condition_check,
     kappa_combinatorial,
     kappa_kernel,
@@ -41,6 +42,7 @@ from laga import (
     kernel,
     left_kernel,
     outdegree_multiset,
+    quadratic_dual_check,
     random_uniform_graph,
     rank,
     reconstruct_boolean,
@@ -644,6 +646,8 @@ def test_graphs_are_not_kept_alive_by_caches():
     b_hilbert_table(g, 3, 6)
     gr_hilbert_table(g, 3, 6)
     is_quadratic_to_degree(g, 3)
+    is_uniform(g)
+    quadratic_dual_check(g, 2)
     kappa_kernel(g, BElement(GF(3), 2, (1, 2, 0)))
     algebra_view(g, scramble_seed=1)
     del g
