@@ -252,14 +252,17 @@ def degree2_product(g: LayeredGraph, n: int, x, y, field: FieldSpec = QQ) -> tup
     further successor s, and nothing when it has at most one.  A block
     with x_v = 0 is zero without field arithmetic, and an entry with
     y_s = y_s0 without a product, so a vertex element, a unit vector or
-    a sparse level map costs little.  A level outside 1..top or a wrong
-    coordinate count raises `LevelMismatch`."""
+    a sparse level map costs little.  Level 0 holds no generators, so at
+    n = 1 the component is zero and the product is ().  A level outside
+    1..top or a wrong coordinate count raises `LevelMismatch`."""
     if not 1 <= n <= g.top_level:
         raise LevelMismatch(f"level {n} outside 1..{g.top_level}")
     if len(x) != g.levels[n] or len(y) != g.levels[n - 1]:
         raise LevelMismatch(
             f"{len(x)} and {len(y)} coords at levels of sizes {g.levels[n]} and {g.levels[n - 1]}"
         )
+    if n == 1:
+        return ()
     x = field.vector(x)
     y = field.vector(y)
     zero = field.zero
@@ -282,11 +285,7 @@ def kappa_kernel(g: LayeredGraph, a: BElement) -> Subspace:
     _check_kappa_element(g, a)
     field = a.field
     n = a.level
-    width = g.levels[n - 1]
-    if n == 1:
-        # products with the minimal level all vanish
-        return full_space(width, field)
-    units = identity(width, field)
+    units = identity(g.levels[n - 1], field)
     return left_kernel([degree2_product(g, n, a.coords, y, field) for y in units], field)
 
 

@@ -3,16 +3,16 @@
 The pipeline sees only an `AlgebraView`: per-level dimensions plus the
 bilinear structure constants of degree-1 times degree-1 multiplication,
 in an opaque (possibly scrambled) coordinate basis.  From that it builds
-upper vertex-like bases, by kernel refinement at level 2 and by a greedy
-closure over the kernels of the basis one level down above it (an
-exhaustive max-kernel ray scan is the fallback for nested views), reads
-off out-degree multisets and successor intersections, and reconstructs
-the hidden graph for non-nesting posets, Boolean lattices, and subspace
-lattices.  The lattices share one driver, which reads each hidden atom
-off the level-2 basis as a maximal set of kernels whose intersection
-keeps dimension 2, found by the same closure.  Every reconstruction is
-certified against an independently built reference with the graph
-isomorphism checker.
+upper vertex-like bases, by kernel refinement at level 2 and above it
+by peeling the kernels of the basis one level down, one vertex ray per
+pass (an exhaustive max-kernel ray scan is the fallback for nested
+views), reads off out-degree multisets and successor intersections, and
+reconstructs the hidden graph for non-nesting posets, Boolean lattices,
+and subspace lattices.  The lattices share one driver, which reads each
+hidden atom off the level-2 basis as a maximal set of kernels whose
+intersection keeps dimension 2, found by a seeded greedy closure.  Every
+reconstruction is certified against an independently built reference
+with the graph isomorphism checker.
 
 Convention: the view reports level 0 as dimension 0 (the minimal vertex
 generates nothing), so the kernel of left multiplication at level 1 is
@@ -78,13 +78,12 @@ F3 = GF(3)
 # refinement cannot succeed, as on nested views.
 _KERNEL_DRAWS_PER_RAY = 500
 
-# greedy closure passes per set sought (a level-1 set, or a vertex ray
-# at level >= 3) before the search gives up.  Each pass lands on a
-# maximal set, new or found before.  Over F_2..F_7, scramble seeds 1-4,
-# Boolean ranks 3-6 and subspace (2,3), (3,3) and (2,4) needed at most
-# 22 passes for 20 rays and 16 for 15 sets; Boolean 7 and subspace (3,4)
-# over F_3 (seed 1) at most 42 for 35 rays.  So 4 per set leaves a wide
-# margin and stays linear.
+# greedy closure passes per level-1 set sought before the search gives
+# up.  Each pass lands on a maximal set of any size, new or found
+# before, so unlike the peeling above level 2 this search needs a bound.
+# Over F_2..F_7, scramble seeds 1-4, Boolean ranks 3-6 and subspace
+# (2,3), (3,3) and (2,4) needed at most 16 passes for 15 sets.  So 4 per
+# set leaves a wide margin and stays linear.
 _CLOSURE_PASSES_PER_SET = 4
 
 
@@ -278,8 +277,8 @@ def _sampled_vertex_rays(view: AlgebraView, n: int):
     factors, so for any y one level down, R(y) = {a : a * y = 0} is the
     span of the hidden vertices v with y in the kernel of v, and a
     one-dimensional intersection of such kernels is a vertex ray.  Level 1
-    has no basis to seed a closure from, so y is drawn from a stream
-    seeded by the level.  A one-dimensional R(y) is a ray; a larger one
+    has no basis to peel, so y is drawn from a stream seeded by the
+    level.  A one-dimensional R(y) is a ray; a larger one
     is intersected with every cell kept so far.  A cell that the rays and
     smaller cells inside it span is dropped: whatever a later kernel cuts
     out of it, it cuts out of those.  Under non-nesting the cell of v
@@ -347,60 +346,40 @@ def _unrefined_cells(cells: dict, rays, field: FieldSpec) -> dict:
     return kept
 
 
-def _closure_vertex_rays(view: AlgebraView, n: int):
-    """Vertex rays at level n >= 3 by greedy closure over the kernels
-    R(w) of the level-(n-1) basis vectors w.
+def _peeled_vertex_rays(view: AlgebraView, n: int):
+    """Vertex rays at level n >= 3 by peeling the kernels R(w) of the
+    level-(n-1) basis vectors w, one ray in each of d passes.
 
-    kappa(v) is the set of y constant on S(v), so for a lower vertex ray
-    w, R(w) is the span of the vertices v with w outside S(v).  A set W
-    maximal with a nonzero intersection of its R(w) leaves the vertices
-    whose successor set is the complement of W: one ray under
-    non-nesting.  Any one-dimensional intersection of kernels R(y) is a
-    vertex ray, whatever the lower basis.  Finding fewer than d rays, as
-    on nested views, raises VerificationFailed.
+    R(w) is the span of the vertices v with w outside S(v), so every
+    intersection of such kernels spans a vertex set.  A pass starts from
+    the whole space and, in basis order, keeps R(w) when the intersection
+    so far, cut by R(w), still lies outside the span of the rays found.
+    Had it ended on two unfound vertices, or an unfound u and a found f,
+    non-nesting gives a w whose R(w) keeps u and drops the other, which
+    the pass would have kept.  So it ends on one new ray, and a pass that
+    does not, as on nested views, raises VerificationFailed.
     """
     d = view.level_dims[n]
     kernels = [_right_mult_kernel(view, n, w) for w in _upper_basis(view, n - 1).vectors]
-    found, passes = _greedy_closure(
-        kernels, 1, d, lambda kept, meet: meet.dim == 1, 0x1A6A ^ (n << 16) ^ d
-    )
-    if len(found) < d:
-        raise VerificationFailed(
-            f"kernel closure found {len(found)} of {d} vertex rays at level {n} "
-            f"in {passes} passes"
-        )
-    return [meet.basis[0] for meet in found.values()]
-
-
-def _greedy_closure(spaces, least: int, want: int, accept, seed: int):
-    """Up to `want` sets of indices into `spaces`, each maximal with an
-    intersection of dimension >= least and passing accept(kept, meet),
-    as ({kept: meet}, passes spent).  A pass visits the indices in a
-    seeded order, least covered by the sets accepted so far first, and
-    keeps each one that leaves the intersection of dimension >= least.
-    """
-    rng = random.Random(seed)
-    whole = full_space(spaces[0].ambient_dim, spaces[0].field)
-    order = list(range(len(spaces)))
-    cover = [0] * len(order)
-    found: dict[tuple, Subspace] = {}
-    passes = 0
-    while len(found) < want and passes < _CLOSURE_PASSES_PER_SET * want:
-        passes += 1
-        rng.shuffle(order)
-        order.sort(key=cover.__getitem__)
-        acc, kept = whole, []
-        for j in order:
-            meet = spaces[j] if acc is whole else acc.intersect(spaces[j])
-            if meet.dim >= least:
+    rays: list = []
+    while len(rays) < d:
+        found = span(rays, d, view.field)
+        acc = whole = full_space(d, view.field)
+        for ker in kernels:
+            meet = ker if acc is whole else acc.intersect(ker)
+            # meet lies in acc, so of equal dimension it is acc; a meet
+            # larger than the found span cannot lie in it
+            if meet.dim == acc.dim or meet.dim > found.dim or not found.contains_subspace(meet):
                 acc = meet
-                kept.append(j)
-        kept = tuple(sorted(kept))
-        if kept not in found and accept(kept, acc):
-            found[kept] = acc
-            for j in kept:
-                cover[j] += 1
-    return found, passes
+                if acc.dim == 1:
+                    break
+        if acc.dim != 1:
+            raise VerificationFailed(
+                f"peeling at level {n} ended on dimension {acc.dim} "
+                f"after {len(rays)} of {d} vertex rays"
+            )
+        rays.append(acc.basis[0])
+    return rays
 
 
 def upper_vertex_like_basis(view: AlgebraView, n: int) -> UpperBasis:
@@ -409,12 +388,13 @@ def upper_vertex_like_basis(view: AlgebraView, n: int) -> UpperBasis:
 
     The vertex rays are intersections of right-multiplication kernels
     (finite fields only): of seeded random y at level 2, refined until
-    one-dimensional, and above it of the level-(n-1) basis vectors, by
-    greedy closure.  Where either search gives up, as on nested views,
-    the basis falls back to an exhaustive scan of every ray, bounded by
-    `LAGA_BUDGET`.  The result is kept once per view and level.  On an
-    unscrambled view it must reproduce the kernel multiset of the vertex
-    basis.  Level 1 multiplies into nothing, so bases start at level 2.
+    one-dimensional, and above it of the level-(n-1) basis vectors,
+    peeled in d passes of one ray each, with no seed and no pass bound.
+    Where either search gives up, as on nested views, the basis falls
+    back to an exhaustive scan of every ray, bounded by `LAGA_BUDGET`.
+    The result is kept once per view and level.  On an unscrambled view
+    it must reproduce the kernel multiset of the vertex basis.  Level 1
+    multiplies into nothing, so bases start at level 2.
     """
     if not 2 <= n <= view.top_level:
         raise LevelMismatch(f"level {n} outside 2..{view.top_level}")
@@ -427,7 +407,7 @@ def _upper_basis(view: AlgebraView, n: int) -> UpperBasis:
     if field.is_rational:
         raise UnsupportedField("kernel refinement needs a finite field")
     try:
-        rays = (_sampled_vertex_rays if n == 2 else _closure_vertex_rays)(view, n)
+        rays = (_sampled_vertex_rays if n == 2 else _peeled_vertex_rays)(view, n)
         if rank([list(r) for r in rays], field) != view.level_dims[n]:
             raise VerificationFailed(f"vertex rays at level {n} are dependent")
         pairs = [(r, kappa_view(view, n, r)) for r in rays]
@@ -555,13 +535,33 @@ def _level_one_sets(basis2: UpperBasis, size: int, count: int):
     kappa of a set of basis vectors is the intersection of their kappas.
     Over A(u) that intersection is span(u, Sigma), of dimension 2, and
     A(u) is maximal among sets whose intersection keeps dimension >= 2;
-    every other maximal set is smaller.  The greedy closure accepts a
-    maximal set when it has `size` members.  The isomorphism
-    certificate then shows that no other set of that size exists.
+    every other maximal set is smaller.  A pass visits the indices in a
+    seeded order, least covered first, keeps each one that leaves the
+    intersection of dimension >= 2, and accepts its set if it has `size`
+    members.  The certificate then shows that no other such set exists.
     """
-    found, passes = _greedy_closure(
-        basis2.kappas, 2, count, lambda kept, meet: len(kept) == size, 0x1A6A ^ size
-    )
+    kappas = basis2.kappas
+    rng = random.Random(0x1A6A ^ size)
+    whole = full_space(kappas[0].ambient_dim, kappas[0].field)
+    order = list(range(len(kappas)))
+    cover = [0] * len(order)
+    found: set[tuple] = set()
+    passes = 0
+    while len(found) < count and passes < _CLOSURE_PASSES_PER_SET * count:
+        passes += 1
+        rng.shuffle(order)
+        order.sort(key=cover.__getitem__)
+        acc, kept = whole, []
+        for j in order:
+            meet = kappas[j] if acc is whole else acc.intersect(kappas[j])
+            if meet.dim >= 2:
+                acc = meet
+                kept.append(j)
+        kept = tuple(sorted(kept))
+        if len(kept) == size and kept not in found:
+            found.add(kept)
+            for j in kept:
+                cover[j] += 1
     if len(found) < count:
         raise ReconstructionFailed(
             f"level-1 sets: found {len(found)} of {count} sets of size {size} "

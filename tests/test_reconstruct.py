@@ -30,6 +30,7 @@ from laga import (
     build_complete_layered,
     build_graph,
     build_subspace_lattice,
+    degree2_product,
     gaussian_binomial,
     gr_hilbert_table,
     intersection_size,
@@ -60,10 +61,10 @@ from laga.reconstruct import (
     _CLOSURE_PASSES_PER_SET,
     _KERNEL_DRAWS_PER_RAY,
     _apply_move,
-    _closure_vertex_rays,
     _exhaustive_scan,
     _level_one_sets,
     _move_kept,
+    _peeled_vertex_rays,
     _right_mult_kernel,
     _sampled_vertex_rays,
 )
@@ -282,9 +283,12 @@ def test_basis_modes_agree_on_plain_view(boolean3):
 
 
 def _scrambled_lattice_views(subspace23):
+    # scramble views are near-monomial; random-basis views are dense
     return (
         algebra_view(subspace23, scramble_seed=3),
         algebra_view(build_boolean(5), GF(2), scramble_seed=3),
+        _random_basis_view(subspace23, F3, 3),
+        _random_basis_view(build_boolean(5), GF(2), 3),
     )
 
 
@@ -307,7 +311,7 @@ def test_closure_mode_agrees(subspace23):
     # every level from 3 up, the one-vertex top levels included
     for view in _scrambled_lattice_views(subspace23):
         for n in range(3, view.top_level + 1):
-            _assert_scan_kernels(view, n, _closure_vertex_rays(view, n))
+            _assert_scan_kernels(view, n, _peeled_vertex_rays(view, n))
 
 
 def test_sampled_mode_gives_up_on_nested_views(nested_graph):
@@ -357,15 +361,15 @@ def test_plain_view_check_runs_after_refinement(boolean3, monkeypatch):
 
 def test_closure_gives_up_on_a_view_nested_at_level_3():
     # q's one successor puts it in every kernel R(w), and p's successors
-    # contain q's, so every pass lands on q alone
-    passes = _CLOSURE_PASSES_PER_SET * 2
+    # contain q's, so the first pass finds q and the second keeps only
+    # kernels that hold both
     for p in (3, 5):
         view = algebra_view(_nested_twice(), GF(p))
         with pytest.raises(
             VerificationFailed,
-            match=f"found 1 of 2 vertex rays at level 3 in {passes} passes",
+            match="peeling at level 3 ended on dimension 2 after 1 of 2 vertex rays",
         ):
-            _closure_vertex_rays(view, 3)
+            _peeled_vertex_rays(view, 3)
 
 
 def test_closure_falls_back_to_the_scan_once_at_level_3(monkeypatch):
@@ -552,6 +556,29 @@ def _random_invertible(d, field, rng):
         m = [[rng.randrange(field.p) for _ in range(d)] for _ in range(d)]
         if rank(m, field) == d:
             return m
+
+
+def _random_basis_view(g, field, seed):
+    """The view of g in uniformly random bases of every degree-1 level,
+    drawn level by level from one seeded stream."""
+    rng = random.Random(seed)
+    maps = {n: _random_invertible(g.levels[n], field, rng) for n in range(1, g.top_level + 1)}
+    tensors = [None, None] + [
+        tuple(
+            tuple(degree2_product(g, n, x, y, field) for y in maps[n - 1]) for x in maps[n]
+        )
+        for n in range(2, g.top_level + 1)
+    ]
+    return AlgebraView(field, (0,) + g.levels[1:], tuple(tensors))
+
+
+@pytest.mark.parametrize("n, p, seed", [(6, 3, 1), (6, 5, 3), (6, 7, 3), (7, 3, 1)])
+def test_random_basis_views_recover(n, p, seed):
+    # in a random basis the lower vertex rays come in no order that
+    # follows the lattice; peeling still takes one ray per pass
+    g = build_boolean(n)
+    view = _random_basis_view(g, GF(p), seed)
+    assert are_isomorphic(reconstruct_boolean(view, n), g) is not None
 
 
 @pytest.mark.parametrize(
