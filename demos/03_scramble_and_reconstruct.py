@@ -1,9 +1,9 @@
 """The headline pipeline: hide a graph inside its algebra, get it back.
 
 `algebra_view` exports only the structure constants of degree-1 times
-degree-1 multiplication, after conjugating each level by random
-invertible maps that provably preserve the bigraded algebra (each move
-is kept by a successor-set rule, and the whole scramble is certified).  The reconstruction then sees no
+degree-1 multiplication, after relabelling and rescaling each degree-1
+level at random (any invertible per-level maps present the same
+algebra, so nothing needs certifying).  The reconstruction then sees no
 vertices at all — just bilinear data in a scrambled basis — and must
 recover the graph.  It does so by hunting for "vertex-like" basis
 vectors (maximizers of the kernel dimension of left multiplication),

@@ -461,17 +461,13 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def are_isomorphic(
-    g1: LayeredGraph, g2: LayeredGraph, rng=None
-) -> Optional[dict[V, V]]:
+def are_isomorphic(g1: LayeredGraph, g2: LayeredGraph) -> Optional[dict[V, V]]:
     """Level-preserving graph isomorphism by per-level backtracking.
 
     Returns a vertex bijection or None.  Candidates are pruned by
     (out-degree, in-degree) profile and, above level 0, by the image of
-    the successor set (already fully mapped).  Passing an `rng` shuffles
-    the candidate order, so with g2 == g1 this samples a random
-    automorphism.  Every candidate assignment counts as one search node
-    against `LAGA_BUDGET`.
+    the successor set (already fully mapped).  Every candidate
+    assignment counts as one search node against `LAGA_BUDGET`.
     """
     if g1.levels != g2.levels:
         return None
@@ -487,9 +483,6 @@ def are_isomorphic(
 
     verts = g1.vertices()
     pools = {n: list(g2.level_vertices(n)) for n in range(len(g2.levels))}
-    if rng is not None:
-        for ws in pools.values():
-            rng.shuffle(ws)
     mapping: dict[V, V] = {}
     used: set[V] = set()
 
@@ -601,9 +594,13 @@ def from_json_dict(data: dict) -> LayeredGraph:
         if not (pair and _is_int_list(edge[0], 2) and _is_int_list(edge[1], 2)):
             raise EdgeLevelMismatch(f"edge {edge!r} is not a pair of [level, index] pairs")
     flags = data.get("flags", {})
+    if not all(isinstance(f, bool) for f in flags.values()):
+        raise DimensionMismatch(f"graph flags {flags!r} are not all true or false")
     labels = {}
     for key, s in data.get("labels", {}).items():
-        lvl, idx = key.split(",")
+        lvl, comma, idx = key.partition(",")
+        if not (comma and lvl.isdecimal() and idx.isdecimal() and isinstance(s, str)):
+            raise DimensionMismatch(f'label {key!r}: {s!r} is not "level,index": string')
         labels[V(int(lvl), int(idx))] = s
     return build_graph(
         data["levels"],

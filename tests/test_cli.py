@@ -218,13 +218,17 @@ def _edited(data, path, value=None):
         ("view", ("level_dims",), 5),
         ("view", ("tensors", "2", 0, 0, 0), [1]),
         ("view", (), [1, 2]),
+        ("view", ("plain",), "false"),
         ("qview", ("tensors", "2", 0, 0, 0), "1/0"),
         ("qview", ("tensors", "2", 0, 0, 0), "one"),
         ("graph", ("edges", 0), [[1], [0, 0]]),
         ("graph", ("edges", 0), [[1, "a"], [0, 0]]),
         ("graph", ("levels",), 5),
         ("graph", ("flags",), []),
+        ("graph", ("flags",), {"unique_minimal": "no"}),
         ("graph", ("labels",), []),
+        ("graph", ("labels",), {"1,0": 5}),
+        ("graph", ("labels",), {"x": "a"}),
         ("graph", (), [1, 2]),
         ("graph", (), {"levels": [1, -2], "edges": []}),
         ("graph", (), {"levels": [], "edges": [], "flags": {"unique_minimal": True}}),
@@ -239,13 +243,17 @@ def _edited(data, path, value=None):
         "view-level-dims-not-a-list",
         "view-entry-not-a-scalar",
         "view-not-an-object",
+        "view-plain-not-a-bool",
         "view-rational-division-by-zero",
         "view-rational-not-a-number",
         "graph-short-endpoint",
         "graph-string-index",
         "graph-levels-not-a-list",
         "graph-flags-not-an-object",
+        "graph-flag-not-a-bool",
         "graph-labels-not-an-object",
+        "graph-label-not-a-string",
+        "graph-label-key-not-level-index",
         "graph-not-an-object",
         "graph-negative-level",
         "graph-minimal-without-levels",
