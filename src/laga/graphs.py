@@ -137,16 +137,23 @@ def build_graph(
         raise DimensionMismatch(f"negative level size in {list(levels)}")
     if unique_minimal and not levels:
         raise DimensionMismatch("a unique minimal vertex needs a level 0")
+
+    def in_range(v: V) -> bool:
+        return 0 <= v.level < len(levels) and 0 <= v.index < levels[v.level]
+
     norm_edges = set()
     for t, h in edges:
         t, h = V(*t), V(*h)
-        if not (0 <= t.level < len(levels) and 0 <= t.index < levels[t.level]):
+        if not in_range(t):
             raise EdgeLevelMismatch(f"tail {t} out of range")
-        if not (0 <= h.level < len(levels) and 0 <= h.index < levels[h.level]):
+        if not in_range(h):
             raise EdgeLevelMismatch(f"head {h} out of range")
         if h.level != t.level - 1:
             raise EdgeLevelMismatch(f"edge {t}->{h} does not drop one level")
         norm_edges.add((t, h))
+    for v in labels or {}:
+        if not in_range(V(*v)):
+            raise DimensionMismatch(f"label on {V(*v)}, which the graph lacks")
     g = LayeredGraph(
         levels=levels,
         edges=frozenset(norm_edges),
@@ -163,9 +170,16 @@ def build_graph(
     return g
 
 
+def _within_budget(count: int, what: str) -> None:
+    """Raise BudgetExceeded before a build enumerates more than LAGA_BUDGET."""
+    if count > (budget := enumeration_budget()):
+        raise BudgetExceeded(f"{count} {what} exceed budget {budget}")
+
+
 def build_boolean(n: int) -> LayeredGraph:
     """The Boolean lattice 2^[n]; level i holds the i-subsets of {1..n}
     in lexicographic order."""
+    _within_budget(n * 2**n // 2, f"edges of the Boolean lattice of rank {n}")
     subsets = [list(itertools.combinations(range(1, n + 1), i)) for i in range(n + 1)]
     index = {s: V(i, j) for i, lv in enumerate(subsets) for j, s in enumerate(lv)}
     edges = []
@@ -211,6 +225,9 @@ def build_subspace_lattice(q: int, n: int) -> LayeredGraph:
     keyed (and ordered) by canonical RREF basis matrices."""
     if q < 2 or not _is_prime(q):
         raise UnsupportedField(f"q = {q}: only prime fields are supported")
+    sizes = [gaussian_binomial(n, k, q) for k in range(n + 1)]
+    tests = sum(a * b for a, b in zip(sizes, sizes[1:]))
+    _within_budget(tests, f"containment tests for the subspace lattice of F_{q}^{n}")
     fld = GF(q)
     by_level = [sorted(_rref_matrices(q, n, k)) for k in range(n + 1)]
     edges = []
@@ -237,6 +254,7 @@ def build_subspace_lattice(q: int, n: int) -> LayeredGraph:
 def build_complete_layered(sizes: Iterable[int]) -> LayeredGraph:
     """Every vertex covers every vertex one level down."""
     sizes = tuple(sizes)
+    _within_budget(sum(a * b for a, b in zip(sizes, sizes[1:])), "edges of the complete graph")
     edges = [
         (V(n, i), V(n - 1, j))
         for n in range(1, len(sizes))

@@ -3,11 +3,10 @@
 The pipeline sees only an `AlgebraView`: per-level dimensions plus the
 bilinear structure constants of degree-1 times degree-1 multiplication,
 in an opaque coordinate basis; a scrambled view relabels and rescales
-each degree-1 level at random.  From that it builds
-upper vertex-like bases, by kernel refinement at level 2 and above it
-by peeling the kernels of the basis one level down, one vertex ray per
-pass (an exhaustive max-kernel ray scan is the fallback for nested
-views), reads off out-degree multisets and successor intersections, and
+each degree-1 level at random.  From that it builds upper vertex-like
+bases by peeling right-multiplication kernels, one vertex ray per pass
+(an exhaustive max-kernel ray scan is the fallback for nested views),
+reads off out-degree multisets and successor intersections, and
 reconstructs the hidden graph for non-nesting posets, Boolean lattices,
 and subspace lattices.  The lattices share one driver, which reads each
 hidden atom off the level-2 basis as a maximal set of kernels whose
@@ -59,25 +58,24 @@ from .linalg import (
     full_space,
     identity,
     left_kernel,
-    rank,
     span,
     zero_space,
 )
 
 F3 = GF(3)
 
-# draws of y per level-2 vertex ray before kernel refinement gives up.
-# A uniform y lies in kappa(v) with probability p^-(codim kappa(v)), and
-# level-2 codimensions are small on the lattices (1 on Boolean lattices,
-# q on subspace lattices).  Over F_2..F_7, scramble seeds 1-4, Boolean
-# ranks 3-6 and subspace (2,3) and (2,4) needed at most 14 draws per ray,
+# draws of y per level-2 vertex ray before peeling gives up.  A uniform
+# y lies in kappa(v) with probability p^-(codim kappa(v)), and level-2
+# codimensions are small on the lattices (1 on Boolean lattices, q on
+# subspace lattices).  Over F_2..F_7, scramble seeds 1-4, Boolean ranks
+# 3-6 and subspace (2,3) and (2,4) needed at most 14 draws per ray,
 # subspace (3,3) 84 (over F_7).  The full bound is spent only where
-# refinement cannot succeed, as on nested views.
+# peeling cannot succeed, as on nested views.
 _KERNEL_DRAWS_PER_RAY = 500
 
 # greedy closure passes per level-1 set sought before the search gives
 # up.  Each pass lands on a maximal set of any size, new or found
-# before, so unlike the peeling above level 2 this search needs a bound.
+# before, so unlike vertex-ray peeling this search needs a pass bound.
 # Over F_2..F_7, scramble seeds 1-4, Boolean ranks 3-6 and subspace
 # (2,3), (3,3) and (2,4) needed at most 16 passes for 15 sets.  So 4 per
 # set leaves a wide margin and stays linear.
@@ -200,114 +198,76 @@ def _right_mult_kernel(view: AlgebraView, n: int, y) -> Subspace:
     return left_kernel(rows, view.field)
 
 
-def _sampled_vertex_rays(view: AlgebraView, n: int):
-    """Vertex rays by kernel refinement, the level-2 basis search.
-
-    The degree-2 relation space splits as a direct sum over left
-    factors, so for any y one level down, R(y) = {a : a * y = 0} is the
-    span of the hidden vertices v with y in the kernel of v, and a
-    one-dimensional intersection of such kernels is a vertex ray.  Level 1
-    has no basis to peel, so y is drawn from a stream seeded by the
-    level.  A one-dimensional R(y) is a ray; a larger one
-    is intersected with every cell kept so far.  A cell that the rays and
-    smaller cells inside it span is dropped: whatever a later kernel cuts
-    out of it, it cuts out of those.  Under non-nesting the cell of v
-    shrinks to its ray once the y drawn inside kappa(v) span kappa(v).
-    A view that cannot be refined (nested kernels, or tensors of no
-    uniform graph) raises VerificationFailed after
-    `_KERNEL_DRAWS_PER_RAY` draws per ray.
-    """
+def _kernel_source(view: AlgebraView, n: int):
+    """The kernels R(y) a peeling pass at level n cuts with, in order:
+    of the level-(n-1) basis vectors y at n >= 3, and of y drawn from a
+    stream seeded by the level at n = 2, where no basis lies below.  A
+    repeated y, a kernel of dimension 0 or d, and a kernel seen before
+    cut nothing new, so they are skipped.  The draws stop after
+    `_KERNEL_DRAWS_PER_RAY` per ray."""
     field = view.field
-    d = view.level_dims[n]
-    d_prev = view.level_dims[n - 1]
-    if d == 1:
-        return [(field.one,)]
-    rng = random.Random(0x1A6A ^ (n << 16) ^ d)
-    found: set[tuple] = set()
-    cells: dict[tuple, Subspace] = {}
-    drawn: set = set()
-    seen: set = set()
-    draws = 0
-    while len(found) < d and draws < _KERNEL_DRAWS_PER_RAY * d:
-        draws += 1
-        y = tuple(field(rng.randrange(field.p)) for _ in range(d_prev))
-        # a y drawn before gives a kernel that changes nothing; on small
-        # levels most draws repeat one
-        if y in seen:
-            continue
-        seen.add(y)
-        ker = _right_mult_kernel(view, n, y)
-        if ker.dim == 1:
-            pieces = [ker]
-        # a kernel drawn before cuts nothing new out of the cells
-        elif 1 < ker.dim < d and ker.key() not in drawn:
-            drawn.add(ker.key())
-            pieces = [ker] + [ker.intersect(c) for c in cells.values()]
-        else:
-            continue
-        grew = False
-        for piece in pieces:
-            if piece.dim == 1 and piece.basis[0] not in found:
-                found.add(piece.basis[0])
-                grew = True
-            elif piece.dim > 1 and piece.key() not in cells:
-                cells[piece.key()] = piece
-                grew = True
-        if grew and cells:
-            cells = _unrefined_cells(cells, found, field)
-    if len(found) < d:
-        raise VerificationFailed(
-            f"kernel refinement found {len(found)} of {d} vertex rays at level {n} "
-            f"after {draws} draws"
+    d, d_prev = view.level_dims[n], view.level_dims[n - 1]
+    if n > 2:
+        ys = _upper_basis(view, n - 1).vectors
+    else:
+        rng = random.Random(0x1A6A ^ (n << 16) ^ d)
+        ys = (
+            tuple(field(rng.randrange(field.p)) for _ in range(d_prev))
+            for _ in range(_KERNEL_DRAWS_PER_RAY * d)
         )
-    return list(found)
-
-
-def _unrefined_cells(cells: dict, rays, field: FieldSpec) -> dict:
-    """The cells not spanned by the rays and smaller cells inside them."""
-    kept = {}
-    for key, cell in cells.items():
-        rows = [list(r) for r in rays if cell.contains_vector(r)]
-        for other in cells.values():
-            if other.dim < cell.dim and cell.contains_subspace(other):
-                rows += [list(r) for r in other.basis]
-        if rank(rows, field) < cell.dim:
-            kept[key] = cell
-    return kept
+    seen_ys, seen = set(), set()
+    for y in ys:
+        if y in seen_ys:
+            continue
+        seen_ys.add(y)
+        ker = _right_mult_kernel(view, n, y)
+        if 0 < ker.dim < d and ker.key() not in seen:
+            seen.add(ker.key())
+            yield ker
 
 
 def _peeled_vertex_rays(view: AlgebraView, n: int):
-    """Vertex rays at level n >= 3 by peeling the kernels R(w) of the
-    level-(n-1) basis vectors w, one ray in each of d passes.
+    """Vertex rays at level n >= 2, one in each of d passes over the
+    kernels R(y) = {a : a * y = 0} of y one level down.
 
-    R(w) is the span of the vertices v with w outside S(v), so every
-    intersection of such kernels spans a vertex set.  A pass starts from
-    the whole space and, in basis order, keeps R(w) when the intersection
-    so far, cut by R(w), still lies outside the span of the rays found.
-    Had it ended on two unfound vertices, or an unfound u and a found f,
-    non-nesting gives a w whose R(w) keeps u and drops the other, which
-    the pass would have kept.  So it ends on one new ray, and a pass that
-    does not, as on nested views, raises VerificationFailed.
+    The degree-2 relation space splits over left factors, so R(y) spans
+    the vertices v with y in the kernel of v, and so does every
+    intersection of such kernels.  A pass starts from the whole space
+    and, in list order, keeps R(y) when the intersection so far, cut by
+    R(y), still lies outside the span of the rays found.  The list grows
+    from `_kernel_source` only when a pass has used all of it and is
+    still above dimension 1.  Had a pass ended on two unfound vertices,
+    or an unfound u and a found f, non-nesting gives a y in the kernel of
+    u and not of the other (a basis vector at n >= 3, a uniform draw with
+    positive probability at n = 2), whose R(y) the pass would have kept.
+    So each pass ends on one new ray, and one that does not, as on
+    nested views, raises VerificationFailed.
     """
     d = view.level_dims[n]
-    kernels = [_right_mult_kernel(view, n, w) for w in _upper_basis(view, n - 1).vectors]
+    source = _kernel_source(view, n)
+    kernels: list = []
     rays: list = []
     while len(rays) < d:
         found = span(rays, d, view.field)
         acc = whole = full_space(d, view.field)
-        for ker in kernels:
+        i = 0
+        while acc.dim > 1:
+            if i == len(kernels):
+                ker = next(source, None)
+                if ker is None:
+                    draws = f" and {_KERNEL_DRAWS_PER_RAY * d} draws" if n == 2 else ""
+                    raise VerificationFailed(
+                        f"peeling at level {n} ended on dimension {acc.dim} "
+                        f"after {len(rays)} of {d} vertex rays{draws}"
+                    )
+                kernels.append(ker)
+            ker = kernels[i]
+            i += 1
             meet = ker if acc is whole else acc.intersect(ker)
             # meet lies in acc, so of equal dimension it is acc; a meet
             # larger than the found span cannot lie in it
             if meet.dim == acc.dim or meet.dim > found.dim or not found.contains_subspace(meet):
                 acc = meet
-                if acc.dim == 1:
-                    break
-        if acc.dim != 1:
-            raise VerificationFailed(
-                f"peeling at level {n} ended on dimension {acc.dim} "
-                f"after {len(rays)} of {d} vertex rays"
-            )
         rays.append(acc.basis[0])
     return rays
 
@@ -317,11 +277,10 @@ def upper_vertex_like_basis(view: AlgebraView, n: int) -> UpperBasis:
     the kernel dimension of left multiplication.
 
     The vertex rays are intersections of right-multiplication kernels
-    (finite fields only): of seeded random y at level 2, refined until
-    one-dimensional, and above it of the level-(n-1) basis vectors,
-    peeled in d passes of one ray each, with no seed and no pass bound.
-    Where either search gives up, as on nested views, the basis falls
-    back to an exhaustive scan of every ray, bounded by `LAGA_BUDGET`.
+    (finite fields only), peeled in d passes of one ray each: of seeded
+    random y at level 2 and of the level-(n-1) basis vectors above it.
+    Where peeling gives up, as on nested views, the basis falls back to
+    an exhaustive scan of every ray, bounded by `LAGA_BUDGET`.
     The result is kept once per view and level.  On an unscrambled view
     it must reproduce the kernel multiset of the vertex basis.  Level 1
     multiplies into nothing, so bases start at level 2.
@@ -335,12 +294,9 @@ def upper_vertex_like_basis(view: AlgebraView, n: int) -> UpperBasis:
 def _upper_basis(view: AlgebraView, n: int) -> UpperBasis:
     field = view.field
     if field.is_rational:
-        raise UnsupportedField("kernel refinement needs a finite field")
+        raise UnsupportedField("vertex-ray peeling needs a finite field")
     try:
-        rays = (_sampled_vertex_rays if n == 2 else _peeled_vertex_rays)(view, n)
-        if rank([list(r) for r in rays], field) != view.level_dims[n]:
-            raise VerificationFailed(f"vertex rays at level {n} are dependent")
-        pairs = [(r, kappa_view(view, n, r)) for r in rays]
+        pairs = [(r, kappa_view(view, n, r)) for r in _peeled_vertex_rays(view, n)]
         chosen = sorted(pairs, key=lambda item: (-item[1].dim, item[0]))
     except VerificationFailed:
         chosen = _exhaustive_scan(view, n)

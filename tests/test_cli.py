@@ -229,6 +229,7 @@ def _edited(data, path, value=None):
         ("graph", ("labels",), []),
         ("graph", ("labels",), {"1,0": 5}),
         ("graph", ("labels",), {"x": "a"}),
+        ("graph", (), {"levels": [1, 2, 1], "edges": [], "labels": {"9,9": "ghost"}}),
         ("graph", (), [1, 2]),
         ("graph", (), {"levels": [1, -2], "edges": []}),
         ("graph", (), {"levels": [], "edges": [], "flags": {"unique_minimal": True}}),
@@ -254,6 +255,7 @@ def _edited(data, path, value=None):
         "graph-labels-not-an-object",
         "graph-label-not-a-string",
         "graph-label-key-not-level-index",
+        "graph-label-on-a-missing-vertex",
         "graph-not-an-object",
         "graph-negative-level",
         "graph-minimal-without-levels",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from laga import (
     BudgetExceeded,
+    DimensionMismatch,
     EdgeLevelMismatch,
     EmptySuccessor,
     LevelMismatch,
@@ -77,6 +78,14 @@ def test_build_graph_validation():
         build_graph([2, 1], [((1, 0), (0, 0))], unique_minimal=True)
     with pytest.raises(EmptySuccessor):
         build_graph([1, 2], [((1, 0), (0, 0))], positive_outdegree=True)
+
+
+def test_build_graph_rejects_labels_off_the_graph():
+    # a label on a missing vertex was stored, and to_json wrote it back
+    for v in (V(5, 0), V(1, 2), V(-1, 0)):
+        with pytest.raises(DimensionMismatch, match="which the graph lacks"):
+            build_graph([1, 2], [], labels={v: "x"})
+    assert build_graph([1, 2], [], labels={V(1, 1): "x"}).label(V(1, 1)) == "x"
 
 
 def test_succ_pred_reaches():
@@ -256,6 +265,24 @@ def test_isomorphism_search_respects_budget(boolean4, monkeypatch):
         are_isomorphic(boolean4, boolean4)
     monkeypatch.setenv("LAGA_BUDGET", "16")
     assert are_isomorphic(boolean4, boolean4) is not None
+
+
+@pytest.mark.parametrize(
+    "build, count, what",
+    [
+        (lambda: build_boolean(4), 32, "edges of the Boolean lattice of rank 4"),
+        (lambda: build_subspace_lattice(2, 3), 63, "containment tests for the subspace"),
+        (lambda: build_complete_layered([1, 3, 4]), 15, "edges of the complete graph"),
+    ],
+    ids=["boolean4", "subspace23", "complete134"],
+)
+def test_builders_respect_budget(build, count, what, monkeypatch):
+    # each builder counts what it will enumerate before it starts
+    monkeypatch.setenv("LAGA_BUDGET", str(count - 1))
+    with pytest.raises(BudgetExceeded, match=f"{count} {what}.* exceed budget {count - 1}"):
+        build()
+    monkeypatch.setenv("LAGA_BUDGET", str(count))
+    assert build().levels
 
 
 def test_non_isomorphic_pair(retarget_pair):

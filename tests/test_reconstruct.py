@@ -64,7 +64,6 @@ from laga.reconstruct import (
     _level_one_sets,
     _peeled_vertex_rays,
     _right_mult_kernel,
-    _sampled_vertex_rays,
     _scramble_maps,
 )
 
@@ -231,18 +230,13 @@ def _assert_scan_kernels(view, n, rays):
     assert sorted(k.key() for k in found) == sorted(k.key() for k in exhaustive)
 
 
-def test_sampled_mode_agrees(subspace23):
-    # over F_2 every y is constant on some pair of the five coordinates,
-    # so no level-2 kernel of Boolean 5 is one-dimensional: the rays
-    # there come from intersecting kernels
-    for view in _scrambled_lattice_views(subspace23):
-        _assert_scan_kernels(view, 2, _sampled_vertex_rays(view, 2))
-
-
 def test_closure_mode_agrees(subspace23):
-    # every level from 3 up, the one-vertex top levels included
+    # every level from 2 up, the one-vertex top levels included; over F_2
+    # every y is constant on some pair of the five coordinates, so no
+    # level-2 kernel of Boolean 5 is one-dimensional: the rays there come
+    # from intersecting kernels
     for view in _scrambled_lattice_views(subspace23):
-        for n in range(3, view.top_level + 1):
+        for n in range(2, view.top_level + 1):
             _assert_scan_kernels(view, n, _peeled_vertex_rays(view, n))
 
 
@@ -255,21 +249,22 @@ def test_sampled_mode_gives_up_on_nested_views(nested_graph):
         start = time.perf_counter()
         with pytest.raises(
             VerificationFailed,
-            match=f"found 1 of 2 vertex rays at level 2 after {draws} draws",
+            match=f"peeling at level 2 ended on dimension 2 after 1 of 2 vertex rays "
+            f"and {draws} draws",
         ):
-            _sampled_vertex_rays(view, 2)
+            _peeled_vertex_rays(view, 2)
         assert time.perf_counter() - start < 1.0
 
 
 def test_auto_falls_back_to_the_scan_once_on_nested_views(nested_graph, monkeypatch):
     calls = []
-    refine = laga.reconstruct._sampled_vertex_rays
+    peel = laga.reconstruct._peeled_vertex_rays
 
     def counting(view, n):
         calls.append(n)
-        return refine(view, n)
+        return peel(view, n)
 
-    monkeypatch.setattr(laga.reconstruct, "_sampled_vertex_rays", counting)
+    monkeypatch.setattr(laga.reconstruct, "_peeled_vertex_rays", counting)
     for p in (3, 5):
         calls.clear()
         view = algebra_view(nested_graph, GF(p))
@@ -284,7 +279,7 @@ def test_plain_view_check_runs_after_refinement(boolean3, monkeypatch):
     def wrong_rays(view, n):
         return [(1, 1, 0), (0, 1, 0), (0, 0, 1)]
 
-    monkeypatch.setattr(laga.reconstruct, "_sampled_vertex_rays", wrong_rays)
+    monkeypatch.setattr(laga.reconstruct, "_peeled_vertex_rays", wrong_rays)
     with pytest.raises(
         VerificationFailed, match="kernel multiset does not match the vertex basis"
     ):
@@ -410,7 +405,7 @@ def test_outdegree_multisets(boolean3, nested_graph):
     assert outdegree_multiset(view, 2) == [2, 2, 2]
     assert outdegree_multiset(view, 3) == [3]
     assert outdegree_multiset(algebra_view(nested_graph), 2) == [2, 3]
-    # kernel refinement, not a scan of all 5^10 rays
+    # peeling, not a scan of all 5^10 rays
     view = algebra_view(build_boolean(5), GF(5), scramble_seed=1)
     assert outdegree_multiset(view, 2) == [2] * 10
 
@@ -511,6 +506,42 @@ def test_random_basis_views_recover(n, p, seed):
     g = build_boolean(n)
     view = _random_basis_view(g, GF(p), seed)
     assert are_isomorphic(reconstruct_boolean(view, n), g) is not None
+
+
+@pytest.mark.parametrize(
+    "view, family, params, digest",
+    [
+        pytest.param(
+            lambda: algebra_view(build_boolean(5), GF(3), scramble_seed=1),
+            "boolean", {"n": 5},
+            "e522586acc2a7ffb84412084c259051ff1bfa9a6f4657a7119cdc0ce59bfdec4",
+            id="boolean5-F3-scramble1",
+        ),
+        pytest.param(
+            lambda: algebra_view(build_subspace_lattice(3, 3), GF(5), scramble_seed=2),
+            "subspace", {"q": 3, "n": 3},
+            "77c80ee6c90dc742d0b6461613ad725e619da45e5212576fd0650a8730be4007",
+            id="subspace33-F5-scramble2",
+        ),
+        pytest.param(
+            lambda: _random_basis_view(build_boolean(6), GF(7), 1),
+            "boolean", {"n": 6},
+            "e8af44ede2f272f143338db4e6e2dcb79f65ab41381409b528cb10b5f5140026",
+            id="boolean6-F7-random1",
+        ),
+        pytest.param(
+            lambda: _random_basis_view(build_subspace_lattice(2, 3), GF(7), 2),
+            "subspace", {"q": 2, "n": 3},
+            "025077df8fa156eea2036ad1655a64f7843ae62a9773e36f04c16ff29b3174ba",
+            id="subspace23-F7-random2",
+        ),
+    ],
+)
+def test_recovered_bases_are_pinned(view, family, params, digest):
+    # the kernel multisets checked elsewhere do not fix the basis vectors;
+    # these digests of the whole report do, on scramble and random-basis views
+    report = reconstruction_report(view(), family, **params)
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
