@@ -230,13 +230,19 @@ def _assert_scan_kernels(view, n, rays):
     assert sorted(k.key() for k in found) == sorted(k.key() for k in exhaustive)
 
 
-def test_closure_mode_agrees(subspace23):
-    # every level from 2 up, the one-vertex top levels included; over F_2
-    # every y is constant on some pair of the five coordinates, so no
-    # level-2 kernel of Boolean 5 is one-dimensional: the rays there come
-    # from intersecting kernels
+def test_sampled_mode_agrees(subspace23):
+    # level 2 peels kernels of seeded random y; over F_2 every y is
+    # constant on some pair of the five coordinates, so no level-2 kernel
+    # of Boolean 5 is one-dimensional: the rays there come from
+    # intersecting kernels
     for view in _scrambled_lattice_views(subspace23):
-        for n in range(2, view.top_level + 1):
+        _assert_scan_kernels(view, 2, _peeled_vertex_rays(view, 2))
+
+
+def test_closure_mode_agrees(subspace23):
+    # every level from 3 up, the one-vertex top levels included
+    for view in _scrambled_lattice_views(subspace23):
+        for n in range(3, view.top_level + 1):
             _assert_scan_kernels(view, n, _peeled_vertex_rays(view, n))
 
 
