@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     LevelMismatch,
     MixedLevels,
@@ -26,10 +25,10 @@ from .errors import (
 )
 from .fields import QQ, FieldSpec
 from .graphs import LayeredGraph, V, class_partition, is_uniform
-from .gralgebra import HilbertTable, _vertex_paths_from, gr_hilbert_table
+from .gralgebra import HilbertTable, _path_counts, _vertex_paths_from, gr_hilbert_table
 from .linalg import (
     Subspace,
-    enumeration_budget,
+    _within_budget,
     full_space,
     identity,
     left_kernel,
@@ -167,13 +166,7 @@ def component(g: LayeredGraph, m: int, n: int, field: FieldSpec = QQ) -> Bigrade
     s = twice // (2 * m) if m > 0 and twice % (2 * m) == 0 else 0
     paths: tuple[Word, ...] = ((),) if (m, n) == (0, 0) else ()
     if 0 < m <= s <= g.top_level:
-        # count the paths level by level before building any
-        count = dict.fromkeys(g.level_vertices(s - m + 1), 1)
-        for lvl in range(s - m + 2, s + 1):
-            count = {v: sum(count[w] for w in g.succ(v)) for v in g.level_vertices(lvl)}
-        total = sum(count.values())
-        if total > enumeration_budget():
-            raise BudgetExceeded(f"bidegree ({m},{n}) has {total} paths")
+        _within_budget(sum(_path_counts(g, s, m).values()), f"paths of bidegree ({m},{n})")
         paths = tuple(p for v in g.level_vertices(s) for p in _vertex_paths_from(g, v, m))
     gens = []
     for j in range(1, m):
@@ -198,11 +191,13 @@ def b_dimension(g: LayeredGraph, m: int, n: int, field: FieldSpec = QQ) -> int:
 def b_hilbert_table(
     g: LayeredGraph, max_m: int, max_n: int, field: FieldSpec = QQ
 ) -> HilbertTable:
+    """Only the bidegrees that hold paths are computed: the m-vertex
+    paths from level s, m <= s <= top, of weight n = ms - m(m-1)/2."""
     entries = []
     for m in range(1, max_m + 1):
-        for n in range(1, max_n + 1):
-            dim = b_dimension(g, m, n, field)
-            if dim:
+        for s in range(m, g.top_level + 1):
+            n = m * s - m * (m - 1) // 2
+            if n <= max_n and (dim := b_dimension(g, m, n, field)):
                 entries.append(((m, n), dim))
     return HilbertTable("B", max_m, max_n, tuple(entries))
 

@@ -13,10 +13,10 @@ word's class is its normal form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     EmptySuccessor,
     KOutOfRange,
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fields import QQ, FieldSpec
 from .graphs import LayeredGraph, V, memo
-from .linalg import enumeration_budget
+from .linalg import _within_budget, enumeration_budget
 
 Word = tuple[V, ...]
 
@@ -147,6 +147,8 @@ def e_tilde(g: LayeredGraph, v: V, k: int, field: FieldSpec = QQ) -> FreeElement
             factors.append(FreeElement.word((x,), field))
         else:
             factors.append(FreeElement.word((x,), field) - FreeElement.word((y,), field))
+    # the expansion multiplies out prod (1 + |f_i|) word products
+    _within_budget(math.prod(1 + len(f.terms) for f in factors), f"word products at {tuple(v)}")
     # coefficients of the polynomial prod (t - f_i), indexed by word length
     coeffs = [FreeElement.scalar(1, field)]
     for f in factors:
@@ -279,6 +281,7 @@ def enumerate_B_basis(g: LayeredGraph, m: int, n: int) -> list[PairSequence]:
     if m <= 0 or n <= 0:
         return [()] if (m, n) == (0, 0) else []
     budget = enumeration_budget()
+    what = f"pair sequences for bidegree ({m},{n})"
     table = _pair_table(g, m)
     # the bidegrees the answer is assembled from, one pair's step at a time
     steps = {(k, w) for _, k, w, _ in table}
@@ -306,8 +309,7 @@ def enumerate_B_basis(g: LayeredGraph, m: int, n: int) -> list[PairSequence]:
             if seqs:
                 here.append((pair[0], seqs))
                 count += len(seqs)
-                if count > budget:
-                    raise BudgetExceeded(f"bidegree ({m},{n}) pair sequence count")
+                _within_budget(count, what, budget)
         runs[length, weight] = here
     return [s for _, run in runs[m, n] for s in run]
 
@@ -333,13 +335,11 @@ def words_of_bidegree(g: LayeredGraph, m: int, n: int) -> list[Word]:
             for v in verts
             if remaining + (w := weight + v.level) <= n and w + remaining * top >= n
         ]
-        if len(prefixes) > budget:
-            raise BudgetExceeded(f"bidegree ({m},{n}) word count")
+        _within_budget(len(prefixes), f"word prefixes of bidegree ({m},{n})", budget)
     words = [
         prefix + (v,) for prefix, weight in prefixes for v in verts if weight + v.level == n
     ]
-    if len(words) > budget:
-        raise BudgetExceeded(f"bidegree ({m},{n}) word count")
+    _within_budget(len(words), f"words of bidegree ({m},{n})", budget)
     return words
 
 
@@ -357,6 +357,16 @@ def _vertex_paths_from(g: LayeredGraph, v: V, nverts: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
+@memo
+def _path_counts(g: LayeredGraph, level: int, nverts: int) -> dict[V, int]:
+    """The number of vertex paths with nverts <= level vertices from each
+    vertex of `level`, counted level by level without building any."""
+    count = dict.fromkeys(g.level_vertices(level - nverts + 1), 1)
+    for lvl in range(level - nverts + 2, level + 1):
+        count = {v: sum(count[w] for w in g.succ(v)) for v in g.level_vertices(lvl)}
+    return count
+
+
 def _sequence_counts(g: LayeredGraph, max_m: int, max_n: int) -> list[list[int]]:
     """total[m][n]: the number of non-covering pair sequences of length
     m and weight n, for m <= max_m and n <= max_n.
@@ -366,6 +376,7 @@ def _sequence_counts(g: LayeredGraph, max_m: int, max_n: int) -> list[list[int]]
     gives all of them except those starting at a vertex that (v, k)
     covers.  It builds no word and no sequence, and takes
     O(max_m * max_n * pairs * covered vertices) steps."""
+    _within_budget((max_m + 1) * (max_n + 1), f"grA count cells to bidegree ({max_m},{max_n})")
     table = _pair_table(g, max_m)
     total = [[0] * (max_n + 1) for _ in range(max_m + 1)]
     total[0][0] = 1
@@ -446,15 +457,18 @@ def _degree2_connects(g: LayeredGraph, v: V, m: int) -> bool:
 
     A degree-2 rewrite replaces word[i+1], a positive successor of
     word[i], by any positive successor of word[i].  A stack search from
-    the first path reaches that path's class; the number of words it
-    reaches is held to LAGA_BUDGET."""
+    the first path reaches that path's class.  The paths, counted before
+    they are built, and the words it reaches are held to LAGA_BUDGET."""
+    budget = enumeration_budget()
+    bidegree = f"bidegree ({m},{pair_weight((v, m))})"
+    _within_budget(_path_counts(g, v.level, m)[v], f"paths of {bidegree}", budget)
     paths = _vertex_paths_from(g, v, m)
     if len(paths) < 2:
         return True
     pos_succ = {
         u: tuple(w for w in g.succ(u) if w.level > 0) for u in g.positive_vertices()
     }
-    budget = enumeration_budget()
+    what = f"words of {bidegree} reached by degree-2 rewrites"
     seen = {paths[0]}
     stack = [paths[0]]
     while stack:
@@ -468,10 +482,7 @@ def _degree2_connects(g: LayeredGraph, v: V, m: int) -> bool:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        if len(seen) > budget:
-            raise BudgetExceeded(
-                f"bidegree ({m},{word_weight(paths[0])}) rewrite search"
-            )
+        _within_budget(len(seen), what, budget)
     return seen.issuperset(paths)
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     EdgeLevelMismatch,
     EmptySuccessor,
@@ -23,7 +22,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import GF, _is_prime
-from .linalg import enumeration_budget, span
+from .linalg import _within_budget, enumeration_budget, span
 
 
 class V(NamedTuple):
@@ -168,12 +167,6 @@ def build_graph(
             if not g.succ(v):
                 raise EmptySuccessor(f"vertex {v} has no successors")
     return g
-
-
-def _within_budget(count: int, what: str) -> None:
-    """Raise BudgetExceeded before a build enumerates more than LAGA_BUDGET."""
-    if count > (budget := enumeration_budget()):
-        raise BudgetExceeded(f"{count} {what} exceed budget {budget}")
 
 
 def build_boolean(n: int) -> LayeredGraph:
@@ -431,40 +424,29 @@ def is_non_nesting(g: LayeredGraph):
 
 def is_atomic_lattice(g: LayeredGraph) -> bool:
     """True iff the reachability poset is a lattice in which every
-    element is the join of the atoms below it."""
+    element is the join of the atoms below it.
+
+    With A(v) the set of atoms below v, that holds exactly when the A(v)
+    are distinct, include the set of all atoms, are closed under
+    intersection, and A(v) <= A(w) just when w reaches v: then v -> A(v)
+    is an order isomorphism onto an intersection-closed family with a
+    top, a lattice in which every member is the join of its atoms."""
     if g.levels[0] != 1:
         raise MultipleMinimal("atomic-lattice test needs a unique minimal vertex")
     verts = g.vertices()
-    leq = {(a, b): g.reaches(b, a) for a in verts for b in verts}  # a <= b
-
-    def join(a, b):
-        ups = [z for z in verts if leq[(a, z)] and leq[(b, z)]]
-        least = [z for z in ups if all(leq[(z, u)] for u in ups)]
-        return least[0] if len(least) == 1 else None
-
-    def meet(a, b):
-        downs = [z for z in verts if leq[(z, a)] and leq[(z, b)]]
-        greatest = [z for z in downs if all(leq[(d, z)] for d in downs)]
-        return greatest[0] if len(greatest) == 1 else None
-
-    for a, b in itertools.combinations(verts, 2):
-        if join(a, b) is None or meet(a, b) is None:
-            return False
-    atoms = g.level_vertices(1)
-    for v in verts:
-        if v.level == 0:
-            continue
-        below = [a for a in atoms if leq[(a, v)]]
-        if not below:
-            return False
-        j = below[0]
-        for a in below[1:]:
-            j = join(j, a)
-            if j is None:
-                return False
-        if j != v:
-            return False
-    return True
+    _within_budget(len(verts) ** 2, "vertex pairs of the atomic-lattice test")
+    atoms = frozenset(g.level_vertices(1))
+    below = {v: atoms & (_reach_map(g)[v] | {v}) for v in verts}
+    family = set(below.values())
+    return (
+        len(family) == len(verts)
+        and atoms in family
+        and all(
+            below[v] & below[w] in family and (below[v] <= below[w]) == g.reaches(w, v)
+            for v in verts
+            for w in verts
+        )
+    )
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -545,10 +527,7 @@ def are_isomorphic(g1: LayeredGraph, g2: LayeredGraph) -> Optional[dict[V, V]]:
             w = next(options, None)
             if w is not None:
                 nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(
-                        f"isomorphism search: {nodes} nodes exceed budget {budget}"
-                    )
+                _within_budget(nodes, "isomorphism search nodes", budget)
                 mapping[v] = w
                 used.add(w)
                 break

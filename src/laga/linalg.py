@@ -20,7 +20,7 @@ import itertools
 import os
 from typing import Iterator, Sequence
 
-from .errors import AmbientMismatch, BudgetExceeded
+from .errors import AmbientMismatch, ArgumentMismatch, BudgetExceeded
 from .fields import FieldSpec
 
 DEFAULT_BUDGET = 10**7
@@ -29,7 +29,17 @@ DEFAULT_BUDGET = 10**7
 def enumeration_budget() -> int:
     """Budget of every enumeration and search; override with LAGA_BUDGET."""
     raw = os.environ.get("LAGA_BUDGET")
+    if raw and not raw.isdecimal():
+        raise ArgumentMismatch(f"LAGA_BUDGET must be a non-negative integer, got {raw!r}")
     return int(raw) if raw else DEFAULT_BUDGET
+
+
+def _within_budget(count: int, what: str, budget: int | None = None) -> None:
+    """Raise BudgetExceeded when count exceeds the budget, read from
+    LAGA_BUDGET unless a loop that checks every step passes it in."""
+    budget = enumeration_budget() if budget is None else budget
+    if count > budget:
+        raise BudgetExceeded(f"{count} {what} exceed budget {budget}")
 
 
 def rref(rows: Sequence[Sequence], field: FieldSpec):
@@ -199,9 +209,7 @@ def enumerate_rays(field: FieldSpec, dim: int) -> Iterator[tuple]:
     if field.is_rational:
         raise AmbientMismatch("ray enumeration needs a finite field")
     p = field.p
-    limit = enumeration_budget()
-    if p**dim > limit:
-        raise BudgetExceeded(f"{p}^{dim} rays exceed budget {limit}")
+    _within_budget(p**dim, f"vectors of F_{p}^{dim}")
     for lead in reversed(range(dim)):
         prefix = (0,) * lead + (1,)
         for tail in itertools.product(range(p), repeat=dim - lead - 1):

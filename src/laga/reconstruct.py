@@ -456,18 +456,19 @@ def _level_one_sets(basis2: UpperBasis, size: int, count: int):
     return [frozenset(a) for a in sorted(found)]
 
 
-def _recover_lattice(
-    view: AlgebraView, expected: tuple, size: int, count: int, reference, name: str
-) -> LayeredGraph:
-    """Recover a lattice whose level-1 vertices each miss `size` level-2
-    vertices: upper bases, then the `count` level-1 sets, then the graph,
-    certified against `reference()`."""
+def _recover_lattice(view: AlgebraView, expected: tuple, build, name: str) -> LayeredGraph:
+    """Recover an atom-transitive lattice with level dimensions `expected`:
+    upper bases, then per atom the set of level-2 vertices not above it,
+    as large as for any atom of the reference `build()`, then the graph,
+    certified against the reference."""
     if view.level_dims[1:] != expected:
         raise ReconstructionFailed(
             f"level dimensions {view.level_dims[1:]} do not match the {name}: {expected}"
         )
     upper, bases = _nonnesting_core(view)
-    asets = _level_one_sets(bases[2], size, count)
+    reference = build()
+    size = expected[1] - len(reference.pred(V(1, 0)))
+    asets = _level_one_sets(bases[2], size, expected[0])
     d1 = view.level_dims[1]
     levels = (1, d1) + tuple(view.level_dims[2:])
     edges = [(V(1, i), V(0, 0)) for i in range(d1)]
@@ -479,7 +480,7 @@ def _recover_lattice(
         (V(t.level + 2, t.index), V(h.level + 2, h.index)) for t, h in upper.edges
     ]
     result = build_graph(levels, edges, unique_minimal=True)
-    if are_isomorphic(result, reference()) is None:
+    if are_isomorphic(result, reference) is None:
         raise ReconstructionFailed(f"output is not isomorphic to the {name}")
     return result
 
@@ -488,14 +489,8 @@ def reconstruct_boolean(view: AlgebraView, n: int) -> LayeredGraph:
     """Full recovery of the rank-n Boolean lattice (n >= 3), certified."""
     if n < 3:
         raise ReconstructionFailed("Boolean recovery needs rank n >= 3")
-    return _recover_lattice(
-        view,
-        tuple(math.comb(n, i) for i in range(1, n + 1)),
-        math.comb(n - 1, 2),
-        n,
-        lambda: build_boolean(n),
-        f"rank-{n} Boolean lattice",
-    )
+    expected = tuple(math.comb(n, i) for i in range(1, n + 1))
+    return _recover_lattice(view, expected, lambda: build_boolean(n), f"rank-{n} Boolean lattice")
 
 
 def reconstruct_subspace(view: AlgebraView, q: int, n: int) -> LayeredGraph:
@@ -504,14 +499,9 @@ def reconstruct_subspace(view: AlgebraView, q: int, n: int) -> LayeredGraph:
         raise UnsupportedField(f"q = {q}: only prime fields are supported")
     if n < 3:
         raise ReconstructionFailed("subspace recovery needs rank n >= 3")
-    return _recover_lattice(
-        view,
-        tuple(gaussian_binomial(n, k, q) for k in range(1, n + 1)),
-        (q**n - q**2) * (q ** (n - 1) - 1) // ((q - 1) * (q**2 - 1)),
-        gaussian_binomial(n, 1, q),
-        lambda: build_subspace_lattice(q, n),
-        f"subspace lattice of F_{q}^{n}",
-    )
+    expected = tuple(gaussian_binomial(n, k, q) for k in range(1, n + 1))
+    name = f"subspace lattice of F_{q}^{n}"
+    return _recover_lattice(view, expected, lambda: build_subspace_lattice(q, n), name)
 
 
 # --- reporting and serialization -------------------------------------------

@@ -21,6 +21,7 @@ from laga import (
     V,
     b_dimension,
     b_hilbert_table,
+    balgebra,
     build_boolean,
     build_graph,
     build_subspace_lattice,
@@ -344,6 +345,35 @@ def test_hilbert_table_matches_dimensions(boolean3):
     assert table.render().startswith("m\\n")
 
 
+def test_hilbert_table_visits_only_bidegrees_with_paths(
+    boolean3, subspace23, nonuniform_graph, monkeypatch
+):
+    """An m-vertex path starts at some level s, m <= s <= top, and has
+    weight ms - m(m-1)/2, so the table computes at most top(top+1)/2
+    components whatever its bounds, and skips only empty bidegrees."""
+    graphs = [boolean3, subspace23, nonuniform_graph]
+    graphs += [
+        random_layered_graph(random.Random(seed), max_levels=5, max_width=4, unique_minimal=False)
+        for seed in range(10)
+    ]
+    every = [
+        {(m, n): d for m in range(1, 5) for n in range(1, 13) if (d := b_dimension(g, m, n))}
+        for g in graphs
+    ]
+    calls = []
+
+    def counted(g, m, n, field):
+        calls.append((m, n))
+        return component(g, m, n, field)
+
+    monkeypatch.setattr(balgebra, "component", counted)
+    for g, dims in zip(graphs, every):
+        assert b_hilbert_table(g, 4, 12).as_dict() == dims
+    calls.clear()
+    b_hilbert_table(boolean3, 50, 50)
+    assert len(calls) <= 3 * 4 // 2
+
+
 def _dense_word_dimension(g, m, n, field):
     """Reference algorithm: pad every degree-2 relation row with every
     left and right word of the bidegree, over all level-descending
@@ -401,7 +431,7 @@ def test_path_basis_on_nonuniform_and_nested_graphs(nonuniform_graph, nested_gra
 def test_component_budget_counts_paths(monkeypatch, boolean3):
     # Boolean 3 at (3,6): 1 * 3 * 2 = 6 paths from the top vertex
     monkeypatch.setenv("LAGA_BUDGET", "5")
-    with pytest.raises(BudgetExceeded, match=r"bidegree \(3,6\) has 6 paths"):
+    with pytest.raises(BudgetExceeded, match=r"6 paths of bidegree \(3,6\) exceed budget 5"):
         component(boolean3, 3, 6)
     monkeypatch.setenv("LAGA_BUDGET", "6")
     assert len(component(boolean3, 3, 6).basis_words) == 6

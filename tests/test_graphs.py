@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -23,10 +24,13 @@ from laga import (
     build_subspace_lattice,
     check_identities,
     class_partition,
+    e_tilde,
     from_json,
     gaussian_binomial,
+    gr_hilbert_table,
     is_atomic_lattice,
     is_non_nesting,
+    is_quadratic_to_degree,
     is_uniform,
     random_layered_graph,
     restrict,
@@ -177,6 +181,60 @@ def test_atomic_lattice(boolean3, subspace23, nested_graph):
     assert not is_atomic_lattice(nested_graph)  # x and y have no unique join
 
 
+def _atomic_lattice_by_definition(g):
+    """Oracle for `is_atomic_lattice`: every pair has a unique join and
+    meet, and every element is the join of the atoms below it."""
+    verts = g.vertices()
+    leq = {(a, b): g.reaches(b, a) for a in verts for b in verts}  # a <= b
+
+    def join(a, b):
+        ups = [z for z in verts if leq[(a, z)] and leq[(b, z)]]
+        least = [z for z in ups if all(leq[(z, u)] for u in ups)]
+        return least[0] if len(least) == 1 else None
+
+    def meet(a, b):
+        downs = [z for z in verts if leq[(z, a)] and leq[(z, b)]]
+        greatest = [z for z in downs if all(leq[(d, z)] for d in downs)]
+        return greatest[0] if len(greatest) == 1 else None
+
+    for a, b in itertools.combinations(verts, 2):
+        if join(a, b) is None or meet(a, b) is None:
+            return False
+    atoms = g.level_vertices(1)
+    for v in verts:
+        if v.level == 0:
+            continue
+        below = [a for a in atoms if leq[(a, v)]]
+        if not below:
+            return False
+        j = below[0]
+        for a in below[1:]:
+            j = join(j, a)
+            if j is None:
+                return False
+        if j != v:
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000))
+def test_atomic_lattice_matches_the_definition(seed):
+    """The atom-set test agrees with the join/meet search on random
+    graphs small enough that some are atomic lattices."""
+    g = random_layered_graph(random.Random(seed), max_levels=4, max_width=3)
+    assert is_atomic_lattice(g) == _atomic_lattice_by_definition(g)
+
+
+def test_atomic_lattice_families_match_the_definition():
+    graphs = [build_boolean(n) for n in range(1, 5)]
+    graphs += [build_subspace_lattice(2, 3), build_complete_layered([1, 2, 1])]
+    graphs += [build_complete_layered([1, 3, 3, 1]), build_complete_layered([1, 1, 1])]
+    for g in graphs:
+        assert is_atomic_lattice(g) == _atomic_lattice_by_definition(g)
+    assert [is_atomic_lattice(g) for g in graphs[-3:]] == [True, False, False]
+
+
 def test_restrict_and_upper_part(boolean4):
     low = restrict(boolean4, 2)
     assert low.levels == (1, 4, 6)
@@ -261,7 +319,7 @@ def test_isomorphism_respects_edges_randomized():
 def test_isomorphism_search_respects_budget(boolean4, monkeypatch):
     # Boolean 4 maps without backtracking: one node per vertex
     monkeypatch.setenv("LAGA_BUDGET", "15")
-    with pytest.raises(BudgetExceeded, match="isomorphism search: 16 nodes exceed budget 15"):
+    with pytest.raises(BudgetExceeded, match="16 isomorphism search nodes exceed budget 15"):
         are_isomorphic(boolean4, boolean4)
     monkeypatch.setenv("LAGA_BUDGET", "16")
     assert are_isomorphic(boolean4, boolean4) is not None
@@ -273,16 +331,32 @@ def test_isomorphism_search_respects_budget(boolean4, monkeypatch):
         (lambda: build_boolean(4), 32, "edges of the Boolean lattice of rank 4"),
         (lambda: build_subspace_lattice(2, 3), 63, "containment tests for the subspace"),
         (lambda: build_complete_layered([1, 3, 4]), 15, "edges of the complete graph"),
+        # 3 * 3 * 3 * 2 products of the factors (x - y) and, last, x
+        (
+            functools.partial(e_tilde, build_complete_layered([1, 2, 2, 2, 2]), V(4, 0), 2),
+            54,
+            r"word products at \(4, 0\)",
+        ),
+        # (3 + 1) * (9 + 1) cells of the grA dimension counts
+        (functools.partial(gr_hilbert_table, build_boolean(3), 3, 9), 40, "grA count cells"),
+        # the top vertex has 2 * 2 three-vertex paths, and rewrites reach
+        # no other word
+        (
+            functools.partial(is_quadratic_to_degree, build_complete_layered([1, 2, 2, 1]), 3),
+            4,
+            r"paths of bidegree \(3,6\)",
+        ),
+        (functools.partial(is_atomic_lattice, build_boolean(3)), 64, "vertex pairs"),
     ],
-    ids=["boolean4", "subspace23", "complete134"],
+    ids=["boolean4", "subspace23", "complete134", "e_tilde", "grA_cells", "paths", "atomic"],
 )
-def test_builders_respect_budget(build, count, what, monkeypatch):
-    # each builder counts what it will enumerate before it starts
+def test_counts_respect_budget(build, count, what, monkeypatch):
+    # each count is taken before what it counts is built
     monkeypatch.setenv("LAGA_BUDGET", str(count - 1))
     with pytest.raises(BudgetExceeded, match=f"{count} {what}.* exceed budget {count - 1}"):
         build()
     monkeypatch.setenv("LAGA_BUDGET", str(count))
-    assert build().levels
+    assert build()
 
 
 def test_non_isomorphic_pair(retarget_pair):

@@ -9,6 +9,7 @@ from laga import (
     GF,
     QQ,
     AmbientMismatch,
+    ArgumentMismatch,
     BudgetExceeded,
     Subspace,
     enumerate_rays,
@@ -246,6 +247,15 @@ def test_budget_env_override(monkeypatch):
     assert enumeration_budget() == 123
     monkeypatch.delenv("LAGA_BUDGET")
     assert enumeration_budget() == 10**7
+
+
+def test_budget_must_be_a_non_negative_integer(monkeypatch):
+    for raw in ("abc", "-1", "1e3", " 5"):
+        monkeypatch.setenv("LAGA_BUDGET", raw)
+        with pytest.raises(ArgumentMismatch, match=f"LAGA_BUDGET .*{raw!r}"):
+            enumeration_budget()
+    monkeypatch.setenv("LAGA_BUDGET", "0")
+    assert enumeration_budget() == 0
 
 
 def test_fraction_exactness():
