@@ -202,12 +202,10 @@ def b_hilbert_table(
     return HilbertTable("B", max_m, max_n, tuple(entries))
 
 
-def kappa_combinatorial(
-    g: LayeredGraph, vertex_set, *, level: int | None = None, field: FieldSpec = QQ
-) -> Subspace:
+def kappa_combinatorial(g: LayeredGraph, vertex_set, *, field: FieldSpec = QQ) -> Subspace:
     """Span of the class sums of the co-coverage partition, in the
     coordinates of the level below."""
-    part = class_partition(g, vertex_set, level=level)
+    part = class_partition(g, vertex_set)
     width = g.levels[part.ground_level]
     gens = []
     for cls in part.classes:
@@ -284,10 +282,10 @@ def kappa_kernel(g: LayeredGraph, a: BElement) -> Subspace:
     return left_kernel([degree2_product(g, n, a.coords, y, field) for y in units], field)
 
 
-def k_stats(g: LayeredGraph, vertex_set, *, level: int | None = None):
+def k_stats(g: LayeredGraph, vertex_set):
     """(k_A, k_A^A, |S(A)|).  The class sums have disjoint supports, so
     k_A is also the dimension of `kappa_combinatorial`."""
-    part = class_partition(g, vertex_set, level=level)
+    part = class_partition(g, vertex_set)
     return part.k, part.k_meeting, len(part.successor_set)
 
 

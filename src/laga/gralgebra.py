@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import LayeredGraph, V, memo
+from .graphs import LayeredGraph, V, _reach_map, memo
 from .linalg import _within_budget, enumeration_budget
 
 Word = tuple[V, ...]
@@ -147,7 +147,7 @@ def e_tilde(g: LayeredGraph, v: V, k: int, field: FieldSpec = QQ) -> FreeElement
             factors.append(FreeElement.word((x,), field))
         else:
             factors.append(FreeElement.word((x,), field) - FreeElement.word((y,), field))
-    # the expansion multiplies out prod (1 + |f_i|) word products
+    # the expansion makes at most prod (1 + |f_i|) word products
     _within_budget(math.prod(1 + len(f.terms) for f in factors), f"word products at {tuple(v)}")
     # coefficients of the polynomial prod (t - f_i), indexed by word length
     coeffs = [FreeElement.scalar(1, field)]
@@ -156,7 +156,7 @@ def e_tilde(g: LayeredGraph, v: V, k: int, field: FieldSpec = QQ) -> FreeElement
         for length, c in enumerate(coeffs):
             nxt[length] = nxt[length] + c  # choose t
             nxt[length + 1] = nxt[length + 1] + (c * f).scale(-1)  # choose -f_i
-        coeffs = nxt
+        coeffs = nxt[: k + 1]
     return coeffs[k]
 
 
@@ -245,21 +245,21 @@ def normalize(g: LayeredGraph, word: Word) -> Word:
 def _pair_table(g: LayeredGraph, max_len: int):
     """Every pair (v, k) with k <= max_len for which v has a positive
     path of k vertices, in the canonical order, as (pair, k, weight,
-    covered): a pair (v, k) may not be followed by a pair starting at a
-    covered vertex, one k levels below v that v reaches.  Those are the
-    vertices the positive successors of v cover with k - 1, or at k = 1
-    the successors of v."""
-    covers: dict[V, list[frozenset[V]]] = {}  # covers[v][k - 1]: covered by (v, k)
+    covered).  All read off `_reach_map`: v has such a path when k = 1
+    or v reaches a vertex k - 1 levels below, at a positive level, and
+    (v, k) covers the vertices k levels below v that v reaches, as in
+    `covers_pair`.  A pair may not be followed by one starting at a
+    vertex it covers."""
+    reach = _reach_map(g)
     table = []
     for v in g.positive_vertices():  # level by level, upwards
-        succ = g.succ(v)
-        below = [covers[w] for w in succ if w.level > 0]
-        # v has a positive path of k vertices when a successor has one of k - 1
-        longest = min(1 + max(map(len, below), default=0), max_len)
-        own = covers[v] = [frozenset(succ)] if longest else []
-        for k in range(2, longest + 1):
-            own.append(frozenset().union(*(c[k - 2] for c in below if len(c) >= k - 1)))
-        table += [((v, k), k, pair_weight((v, k)), c) for k, c in enumerate(own, 1)]
+        below: dict[int, set[V]] = {}  # below[k]: what v reaches k levels down
+        for w in reach[v]:
+            below.setdefault(v.level - w.level, set()).add(w)
+        for k in range(1, min(max_len, v.level) + 1):
+            if k > 1 and k - 1 not in below:
+                break
+            table.append(((v, k), k, pair_weight((v, k)), frozenset(below.get(k, ()))))
     return table
 
 

@@ -289,31 +289,6 @@ def successors(g: LayeredGraph, vertex_set: Iterable[V]) -> frozenset[V]:
     return frozenset(w for t in vertex_set for w in g.succ(t))
 
 
-class _UnionFind:
-    """Classes of vertices under union.  A vertex enters `parent` on its
-    first union, so vertices that no union touches are never stored;
-    only non-root vertices are keys of `parent`."""
-
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        parent = self.parent
-        if x not in parent:
-            return x
-        root = parent[x]
-        while root in parent:
-            root = parent[root]
-        while x in parent:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 @dataclass(frozen=True)
 class ClassPartition:
     """Equivalence classes of V_{n-1} under co-coverage from T in V_n."""
@@ -336,7 +311,9 @@ class ClassPartition:
 def class_partition(
     g: LayeredGraph, vertex_set: Iterable[V], *, level: int | None = None
 ) -> ClassPartition:
-    """Union-find closure of co-coverage: v ~ w when some t in T covers both."""
+    """Classes of co-coverage, v ~ w when some t in T covers both, closed
+    transitively: starting from the singletons of V_{n-1}, each S(t)
+    merges the blocks it meets, in at most |T| * d_{n-1} steps."""
     vertex_set = frozenset(vertex_set)
     set_level = _common_level(vertex_set)
     if set_level is None and level is None:
@@ -346,16 +323,11 @@ def class_partition(
         raise MixedLevels("vertex sets at level 0 have no partition below them")
     if n > g.top_level or any(not 0 <= v.index < g.levels[n] for v in vertex_set):
         raise LevelMismatch(f"vertices {sorted(vertex_set)} at level {n} are not in the graph")
-    ground = g.level_vertices(n - 1)
-    uf = _UnionFind()
+    block = {w: frozenset([w]) for w in g.level_vertices(n - 1)}  # w's block
     for t in vertex_set:
-        ws = g.succ(t)
-        for a, b in zip(ws, ws[1:]):
-            uf.union(a, b)
-    groups: dict[V, list[V]] = {}
-    for w in ground:
-        groups.setdefault(uf.find(w), []).append(w)
-    classes = tuple(sorted(tuple(sorted(c)) for c in groups.values()))
+        merged = frozenset().union(*(block[w] for w in g.succ(t)))
+        block.update(dict.fromkeys(merged, merged))
+    classes = tuple(sorted(tuple(sorted(c)) for c in set(block.values())))
     return ClassPartition(
         ground_level=n - 1,
         classes=classes,

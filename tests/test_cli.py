@@ -65,6 +65,10 @@ def test_kappa(boolean3_file, capsys):
     assert main(["kappa", boolean3_file, "--level", "2", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [row["k"] for row in rows] == [2, 2, 2]
+    assert main(["kappa", boolean3_file, "--level", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"(2,{i}) k=2 out_degree=2" for i in range(3)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -89,6 +93,9 @@ def test_uniform(boolean3_file, tmp_path, nonuniform_graph, capsys):
     bad = _graph_file(tmp_path, "bad.json", to_json(nonuniform_graph))
     assert main(["uniform", bad]) == 0
     assert "not uniform" in capsys.readouterr().out
+    for graph, uniform in ((boolean3_file, True), (bad, False)):
+        assert main(["uniform", graph, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"uniform": uniform}
 
 
 def test_dual_check(boolean3_file, tmp_path, nonuniform_graph, capsys):
@@ -154,6 +161,10 @@ def test_compare_agreeing_nonisomorphic_pair(tmp_path, retarget_pair, capsys):
     out = capsys.readouterr().out
     assert "invariants agree (this does not imply the graphs are isomorphic)" in out
     assert "NOT isomorphic" in out
+    assert main(["compare", f1, f2, "--max", "3,5", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_equal"] is True and report["isomorphic"] is False
+    assert all(row["equal"] for row in report["invariants"])
 
 
 def test_compare_mismatch_exit_code(boolean3_file, tmp_path, capsys):

@@ -364,8 +364,9 @@ def test_non_isomorphic_pair(retarget_pair):
     assert are_isomorphic(g1, g2) is None
 
 
-def test_non_isomorphic_same_profiles():
-    # same degree profiles everywhere, different structure
+def test_non_isomorphic_same_profiles(monkeypatch):
+    # same level sizes and out-degrees, but the level-0 in-degrees are
+    # (1, 1) against (2, 0), so the profile check already tells them apart
     a = build_graph(
         [2, 2, 1],
         [((2, 0), (1, 0)), ((2, 0), (1, 1)), ((1, 0), (0, 0)), ((1, 1), (0, 1))],
@@ -375,6 +376,19 @@ def test_non_isomorphic_same_profiles():
         [((2, 0), (1, 0)), ((2, 0), (1, 1)), ((1, 0), (0, 0)), ((1, 1), (0, 0))],
     )
     assert are_isomorphic(a, b) is None
+    # an 8-cycle against two 4-cycles: every (out, in) profile is (0, 2)
+    # on level 0 and (2, 0) on level 1, so only backtracking tells them apart
+    eight = build_graph([4, 4], [((1, i), (0, (i + j) % 4)) for i in range(4) for j in (0, 1)])
+    two_fours = build_graph(
+        [4, 4], [((1, i), (0, j)) for i in range(4) for j in range(4) if i // 2 == j // 2]
+    )
+    for n, profile in ((0, (0, 2)), (1, (2, 0))):
+        for g in (eight, two_fours):
+            assert {(g.out_degree(v), len(g.pred(v))) for v in g.level_vertices(n)} == {profile}
+    assert are_isomorphic(eight, two_fours) is None
+    monkeypatch.setenv("LAGA_BUDGET", "8")
+    with pytest.raises(BudgetExceeded, match="9 isomorphism search nodes exceed budget 8"):
+        are_isomorphic(eight, two_fours)
 
 
 def test_gaussian_binomial_values():

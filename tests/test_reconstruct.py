@@ -423,6 +423,9 @@ def test_level_one_has_no_upper_basis():
     for query in (upper_vertex_like_basis, outdegree_multiset):
         with pytest.raises(LevelMismatch, match="level 1 outside 2..3"):
             query(view, 1)
+    # a level in range still needs a finite field to peel rays over
+    with pytest.raises(UnsupportedField, match="vertex-ray peeling needs a finite field"):
+        upper_vertex_like_basis(algebra_view(build_boolean(3), QQ), 2)
 
 
 def test_intersection_sizes(boolean3):
@@ -780,3 +783,7 @@ def test_reconstruction_report(boolean3):
     assert nn["certified"] is True
     with pytest.raises(ReconstructionFailed):
         reconstruction_report(view, "mystery")
+    with pytest.raises(ReconstructionFailed, match="boolean recovery needs the rank n"):
+        reconstruction_report(view, "boolean")
+    with pytest.raises(ReconstructionFailed, match="subspace recovery needs q and n"):
+        reconstruction_report(view, "subspace", n=3)
