@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import LayeredGraph, V, class_partition, is_uniform
+from .graphs import ClassPartition, LayeredGraph, V, class_partition, is_uniform
 from .gralgebra import HilbertTable, _path_counts, _vertex_paths_from, gr_hilbert_table
 from .linalg import (
     Subspace,
@@ -202,10 +202,17 @@ def b_hilbert_table(
     return HilbertTable("B", max_m, max_n, tuple(entries))
 
 
+def _set_partition(g: LayeredGraph, vertex_set) -> ClassPartition:
+    """`class_partition` of a vertex set, nonempty so that it has a level."""
+    if not (vertex_set := frozenset(vertex_set)):
+        raise MixedLevels("empty vertex set: pass a nonempty set, or use kappa_of_element")
+    return class_partition(g, vertex_set)
+
+
 def kappa_combinatorial(g: LayeredGraph, vertex_set, *, field: FieldSpec = QQ) -> Subspace:
     """Span of the class sums of the co-coverage partition, in the
     coordinates of the level below."""
-    part = class_partition(g, vertex_set)
+    part = _set_partition(g, vertex_set)
     width = g.levels[part.ground_level]
     gens = []
     for cls in part.classes:
@@ -285,7 +292,7 @@ def kappa_kernel(g: LayeredGraph, a: BElement) -> Subspace:
 def k_stats(g: LayeredGraph, vertex_set):
     """(k_A, k_A^A, |S(A)|).  The class sums have disjoint supports, so
     k_A is also the dimension of `kappa_combinatorial`."""
-    part = class_partition(g, vertex_set)
+    part = _set_partition(g, vertex_set)
     return part.k, part.k_meeting, len(part.successor_set)
 
 

@@ -56,8 +56,8 @@ class FieldSpec:
         return self.p is None
 
     def __call__(self, x) -> Fraction | int:
-        """Coerce an int or Fraction into this field; F_p takes only
-        integral values."""
+        """Coerce an int or Fraction, or a string of one, into this
+        field; F_p takes only integral values."""
         if self.p is None:
             return Fraction(x)
         if type(x) is not int:
@@ -71,9 +71,7 @@ class FieldSpec:
         p = self.p
         if p is None:
             return [x if type(x) is Fraction else Fraction(x) for x in xs]
-        if all(type(x) is int for x in xs):
-            return [x % p for x in xs]
-        return [self(x) for x in xs]
+        return [x % p if type(x) is int else self(x) for x in xs]
 
     @property
     def zero(self):

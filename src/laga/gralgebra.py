@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import LayeredGraph, V, _reach_map, memo
+from .graphs import LayeredGraph, V, _reach_map, _succ_map, memo
 from .linalg import _within_budget, enumeration_budget
 
 Word = tuple[V, ...]
@@ -206,9 +206,9 @@ def pair_weight(pair: tuple[V, int]) -> int:
 
 
 def covers_pair(g: LayeredGraph, p1: tuple[V, int], p2: tuple[V, int]) -> bool:
-    """(v,k) |= (v',k'): a path of length k from v down to v' exists."""
+    """(v,k) |= (v',k'): a path of length k >= 1 from v down to v' exists."""
     (v, k), (w, _) = p1, p2
-    return v.level - w.level == k and g.reaches(v, w) and v != w
+    return 0 < k <= v.level and w in _reach_map(g)[v][k]
 
 
 def sequence_monomial(g: LayeredGraph, pairs: PairSequence) -> Word:
@@ -245,21 +245,18 @@ def normalize(g: LayeredGraph, word: Word) -> Word:
 def _pair_table(g: LayeredGraph, max_len: int):
     """Every pair (v, k) with k <= max_len for which v has a positive
     path of k vertices, in the canonical order, as (pair, k, weight,
-    covered).  All read off `_reach_map`: v has such a path when k = 1
-    or v reaches a vertex k - 1 levels below, at a positive level, and
-    (v, k) covers the vertices k levels below v that v reaches, as in
-    `covers_pair`.  A pair may not be followed by one starting at a
-    vertex it covers."""
+    covered).  Both are indexed off `_reach_map`: v has such a path
+    when it reaches some vertex k - 1 levels below, at a positive level
+    since k <= v.level, and (v, k) covers what it reaches k levels
+    below, as in `covers_pair`.  A pair may not be followed by one
+    starting at a vertex it covers."""
     reach = _reach_map(g)
     table = []
     for v in g.positive_vertices():  # level by level, upwards
-        below: dict[int, set[V]] = {}  # below[k]: what v reaches k levels down
-        for w in reach[v]:
-            below.setdefault(v.level - w.level, set()).add(w)
         for k in range(1, min(max_len, v.level) + 1):
-            if k > 1 and k - 1 not in below:
+            if not reach[v][k - 1]:
                 break
-            table.append(((v, k), k, pair_weight((v, k)), frozenset(below.get(k, ()))))
+            table.append(((v, k), k, pair_weight((v, k)), reach[v][k]))
     return table
 
 
@@ -455,9 +452,9 @@ def is_quadratic_to_degree(
 def _degree2_connects(g: LayeredGraph, v: V, m: int) -> bool:
     """Whether degree-2 rewrites join every m-vertex path from v.
 
-    A degree-2 rewrite replaces word[i+1], a positive successor of
-    word[i], by any positive successor of word[i].  A stack search from
-    the first path reaches that path's class.  The paths, counted before
+    A degree-2 rewrite swaps word[i+1], a successor of word[i], for
+    another, on the same positive level.  A stack search from the
+    first path reaches that path's class.  The paths, counted before
     they are built, and the words it reaches are held to LAGA_BUDGET."""
     budget = enumeration_budget()
     bidegree = f"bidegree ({m},{pair_weight((v, m))})"
@@ -465,16 +462,14 @@ def _degree2_connects(g: LayeredGraph, v: V, m: int) -> bool:
     paths = _vertex_paths_from(g, v, m)
     if len(paths) < 2:
         return True
-    pos_succ = {
-        u: tuple(w for w in g.succ(u) if w.level > 0) for u in g.positive_vertices()
-    }
     what = f"words of {bidegree} reached by degree-2 rewrites"
+    succ = _succ_map(g)
     seen = {paths[0]}
     stack = [paths[0]]
     while stack:
         word = stack.pop()
         for i in range(m - 1):
-            options = pos_succ[word[i]]
+            options = succ.get(word[i], ())
             if word[i + 1] not in options:
                 continue
             for w in options:

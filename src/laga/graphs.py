@@ -91,7 +91,7 @@ class LayeredGraph:
 
     def reaches(self, v: V, w: V) -> bool:
         """True iff there is a directed path (possibly empty) from v to w."""
-        return w == v or w in _reach_map(self)[v]
+        return v.level >= w.level and w in _reach_map(self)[v][v.level - w.level]
 
 
 @memo
@@ -111,15 +111,15 @@ def _pred_map(g: LayeredGraph) -> dict[V, tuple[V, ...]]:
 
 
 @memo
-def _reach_map(g: LayeredGraph) -> dict[V, frozenset[V]]:
-    """Strictly-below reachability, computed level by level."""
-    reach: dict[V, set[V]] = {v: set() for v in g.vertices()}
-    for n in range(1, len(g.levels)):
-        for v in g.level_vertices(n):
-            for w in g.succ(v):
-                reach[v].add(w)
-                reach[v] |= reach[w]
-    return {v: frozenset(s) for v, s in reach.items()}
+def _reach_map(g: LayeredGraph) -> dict[V, tuple[frozenset[V], ...]]:
+    """reach[v][k]: the vertices k levels below v that v reaches, for
+    0 <= k <= v.level (so reach[v][0] = {v}), built level by level."""
+    reach: dict[V, tuple[frozenset[V], ...]] = {}
+    for v in g.vertices():
+        below = [reach[w] for w in g.succ(v)]
+        steps = (frozenset().union(*(r[k] for r in below)) for k in range(v.level))
+        reach[v] = (frozenset([v]), *steps)
+    return reach
 
 
 def build_graph(
@@ -408,7 +408,7 @@ def is_atomic_lattice(g: LayeredGraph) -> bool:
     verts = g.vertices()
     _within_budget(len(verts) ** 2, "vertex pairs of the atomic-lattice test")
     atoms = frozenset(g.level_vertices(1))
-    below = {v: atoms & (_reach_map(g)[v] | {v}) for v in verts}
+    below = {v: _reach_map(g)[v][v.level - 1] if v.level else frozenset() for v in verts}
     family = set(below.values())
     return (
         len(family) == len(verts)

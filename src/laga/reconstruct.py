@@ -27,7 +27,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .balgebra import BElement, degree2_product
 from .errors import (
@@ -515,7 +514,7 @@ def _scalar_from_json(field: FieldSpec, raw):
     if type(raw) not in (int, str):
         raise DimensionMismatch(f"view entry {raw!r} is neither an int nor a string")
     try:
-        return Fraction(raw) if field.is_rational else field(int(raw))
+        return field(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise DimensionMismatch(f"view entry {raw!r} is not a scalar") from exc
 

@@ -32,6 +32,8 @@ from laga import (
     is_non_nesting,
     is_quadratic_to_degree,
     is_uniform,
+    k_stats,
+    kappa_combinatorial,
     random_layered_graph,
     restrict,
     successors,
@@ -115,8 +117,13 @@ def test_class_partition_single_vertex(boolean3):
 
 
 def test_class_partition_empty_set_needs_level(boolean3):
-    with pytest.raises(MixedLevels):
+    with pytest.raises(MixedLevels, match="empty vertex set needs an explicit level"):
         class_partition(boolean3, [])
+    # the callers that take no level say what to do instead
+    advice = "empty vertex set: pass a nonempty set, or use kappa_of_element"
+    for call in (kappa_combinatorial, k_stats):
+        with pytest.raises(MixedLevels, match=advice):
+            call(boolean3, [])
     part = class_partition(boolean3, [], level=2)
     assert part.k == 3  # all singletons
 
