@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import ClassPartition, LayeredGraph, V, class_partition, is_uniform
+from .graphs import ClassPartition, LayeredGraph, V, _succ_map, class_partition, is_uniform
 from .gralgebra import HilbertTable, _path_counts, _vertex_paths_from, gr_hilbert_table
 from .linalg import (
     Subspace,
@@ -266,9 +266,10 @@ def degree2_product(g: LayeredGraph, n: int, x, y, field: FieldSpec = QQ) -> tup
     x = field.vector(x)
     y = field.vector(y)
     zero = field.zero
+    succ_map = _succ_map(g)
     out = []
     for v in g.level_vertices(n):
-        succ = g.succ(v)
+        succ = succ_map.get(v, ())
         a = x[v.index]
         if not a or len(succ) < 2:
             out += [zero] * (len(succ) - 1)

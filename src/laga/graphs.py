@@ -87,7 +87,7 @@ class LayeredGraph:
         return len(self.succ(v))
 
     def label(self, v: V) -> str | None:
-        return dict(self.labels).get(v)
+        return _label_map(self).get(v)
 
     def reaches(self, v: V, w: V) -> bool:
         """True iff there is a directed path (possibly empty) from v to w."""
@@ -100,6 +100,11 @@ def _succ_map(g: LayeredGraph) -> dict[V, tuple[V, ...]]:
     for t, h in g.edges:
         out.setdefault(t, []).append(h)
     return {v: tuple(sorted(ws)) for v, ws in out.items()}
+
+
+@memo
+def _label_map(g: LayeredGraph) -> dict[V, str]:
+    return dict(g.labels)
 
 
 @memo

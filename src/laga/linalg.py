@@ -50,11 +50,16 @@ def rref(rows: Sequence[Sequence], field: FieldSpec):
     `AmbientMismatch`.
     """
     m = [field.vector(row) for row in rows]
+    if len({len(row) for row in m}) > 1:
+        raise AmbientMismatch(f"ragged matrix: row lengths {sorted({len(r) for r in m})}")
+    return _rref(m, field)
+
+
+def _rref(m: list, field: FieldSpec):
+    """`rref` of rows already in the field and of one length, in place."""
     if not m:
         return [], []
     ncols = len(m[0])
-    if any(len(row) != ncols for row in m):
-        raise AmbientMismatch(f"ragged matrix: row lengths {sorted({len(r) for r in m})}")
     pivots = []
     r = 0
     for c in range(ncols):
@@ -96,7 +101,7 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains_vector(row) for row in other.basis)
+        return not any(any(_residual(x, self.pivots, self.basis, self.field)) for x in other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """rref [r(x) | x] over the basis rows x of the smaller space,
@@ -106,8 +111,8 @@ class Subspace:
         self._check_compatible(other)
         small, large = sorted((self, other), key=lambda s: s.dim)
         n = self.ambient_dim
-        stacked = [reduce_vector(x, large) + list(x) for x in small.basis]
-        return _right_block(*rref(stacked, self.field), n, n, self.field)
+        stacked = [[*_residual(x, large.pivots, large.basis, self.field), *x] for x in small.basis]
+        return _right_block(*_rref(stacked, self.field), n, n, self.field)
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -163,12 +168,28 @@ def zero_space(ambient_dim: int, field: FieldSpec) -> Subspace:
 def reduce_vector(vector, space: Subspace):
     """Subtract the projection onto a subspace's RREF basis; exact
     residual."""
-    field = space.field
-    v = field.vector(vector)
-    for c, row in zip(space.pivots, space.basis):
+    return _residual(space.field.vector(vector), space.pivots, space.basis, space.field)
+
+
+def _residual(v, pivots, rows, field: FieldSpec):
+    """v, already in the field, minus its combination of rows, each with a
+    1 at its pivot and 0 at the pivots before it, as in an RREF basis."""
+    for c, row in zip(pivots, rows):
         if v[c]:
             v = field.axpy(v, v[c], row)
     return v
+
+
+def _extend_echelon(pivots: list, rows: list, new, field: FieldSpec) -> int:
+    """Append to the echelon (pivots, rows) of `_residual` each new row's
+    nonzero residual, scaled to a leading 1; returns the new rank."""
+    for x in new:
+        v = _residual(x, pivots, rows, field)
+        c = next((i for i, a in enumerate(v) if a), None)
+        if c is not None:
+            pivots.append(c)
+            rows.append(field.scale(v, field.inv(v[c])))
+    return len(rows)
 
 
 def kernel(rows: Sequence[Sequence], ncols: int, field: FieldSpec) -> Subspace:

@@ -53,9 +53,11 @@ from .graphs import (
 )
 from .linalg import (
     Subspace,
+    _extend_echelon,
     enumerate_rays,
     full_space,
     identity,
+    kernel,
     left_kernel,
     span,
     zero_space,
@@ -63,13 +65,13 @@ from .linalg import (
 
 F3 = GF(3)
 
-# draws of y per level-2 vertex ray before peeling gives up.  A uniform
-# y lies in kappa(v) with probability p^-(codim kappa(v)), and level-2
-# codimensions are small on the lattices (1 on Boolean lattices, q on
-# subspace lattices).  Over F_2..F_7, scramble seeds 1-4, Boolean ranks
-# 3-6 and subspace (2,3) and (2,4) needed at most 14 draws per ray,
-# subspace (3,3) 84 (over F_7).  The full bound is spent only where
-# peeling cannot succeed, as on nested views.
+# draws of y per level-2 vertex ray before peeling gives up; plain and
+# scrambled views need none (see `_kernel_source`).  A uniform y lies in
+# kappa(v) with probability p^-(codim kappa(v)): 1 on Boolean lattices,
+# q on subspace lattices.  Over F_2..F_7, random-basis seeds 1-4, Boolean
+# ranks 3-6 needed at most 7 draws per ray, subspace (2,3) 30 and (3,3)
+# 133 (over F_7).  The full bound is spent only where peeling cannot
+# succeed, as on nested views.
 _KERNEL_DRAWS_PER_RAY = 500
 
 # greedy closure passes per level-1 set sought before the search gives
@@ -126,7 +128,7 @@ def _scramble_maps(g: LayeredGraph, field: FieldSpec, rng) -> dict[int, list[lis
     relabelling and a rescaling of every degree-1 level, which need not
     be a graph automorphism.  Dense random maps would hide more, but
     recovery on them is still about 1.5 times slower."""
-    nonzero = list(range(1, field.p)) if field.p else [1, 2, 3, -1, -2]
+    nonzero = range(1, field.p) if field.p else (1, 2, 3, -1, -2)
     maps = {}
     for n in range(1, g.top_level + 1):
         d = g.levels[n]
@@ -173,11 +175,11 @@ def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
     norm = tuple(view.field.vector(coords))
     if len(norm) != view.level_dims[n]:
         raise LevelMismatch(f"{len(norm)} coords at level of dimension {view.level_dims[n]}")
-    # column j of the tensor gives the row coords * e_j; level 1 has no
-    # tensor and multiplies into nothing
-    t = view.tensors[n] if n >= 2 else ()
-    cols = [[row[j] for row in t] for j in range(view.level_dims[n - 1])]
-    return left_kernel([view.field.combine(norm, col) for col in cols], view.field)
+    # coords * e_j sums column j over the rows the coords touch; level 1
+    # has no tensor and multiplies into nothing
+    rows = [(c, row) for c, row in zip(norm, view.tensors[n] if n >= 2 else ()) if c]
+    cols = [[row[j] for _, row in rows] for j in range(view.level_dims[n - 1])]
+    return left_kernel([view.field.combine([c for c, _ in rows], col) for col in cols], view.field)
 
 
 @dataclass(frozen=True)
@@ -198,22 +200,23 @@ def _right_mult_kernel(view: AlgebraView, n: int, y) -> Subspace:
 
 
 def _kernel_source(view: AlgebraView, n: int):
-    """The kernels R(y) a peeling pass at level n cuts with, in order:
-    of the level-(n-1) basis vectors y at n >= 3, and of y drawn from a
-    stream seeded by the level at n = 2, where no basis lies below.  A
-    repeated y, a kernel of dimension 0 or d, and a kernel seen before
-    cut nothing new, so they are skipped.  The draws stop after
-    `_KERNEL_DRAWS_PER_RAY` per ray."""
+    """The kernels R(y) a peeling pass at level n cuts with, in order: of
+    the level-(n-1) basis vectors y at n >= 3; at n = 2 of the level-1 unit
+    vectors (scaled hidden vertices in a plain or scrambled view), then of
+    y drawn from a stream seeded by the level.  A repeated y, a kernel of
+    dimension 0 or d, and one seen before cut nothing new and are skipped.
+    The draws stop after `_KERNEL_DRAWS_PER_RAY` per ray."""
     field = view.field
     d, d_prev = view.level_dims[n], view.level_dims[n - 1]
     if n > 2:
         ys = _upper_basis(view, n - 1).vectors
     else:
         rng = random.Random(0x1A6A ^ (n << 16) ^ d)
-        ys = (
+        draws = (
             tuple(field(rng.randrange(field.p)) for _ in range(d_prev))
             for _ in range(_KERNEL_DRAWS_PER_RAY * d)
         )
+        ys = itertools.chain(map(tuple, identity(d_prev, field)), draws)
     seen_ys, seen = set(), set()
     for y in ys:
         if y in seen_ys:
@@ -233,13 +236,15 @@ def _peeled_vertex_rays(view: AlgebraView, n: int):
     the vertices v with y in the kernel of v, and so does every
     intersection of such kernels.  A pass starts from the whole space
     and, in list order, keeps R(y) when the intersection so far, cut by
-    R(y), still lies outside the span of the rays found.  The list grows
-    from `_kernel_source` only when a pass has used all of it and is
-    still above dimension 1.  Had a pass ended on two unfound vertices,
-    or an unfound u and a found f, non-nesting gives a y in the kernel of
-    u and not of the other (a basis vector at n >= 3, a uniform draw with
-    positive probability at n = 2), whose R(y) the pass would have kept.
-    So each pass ends on one new ray, and one that does not, as on
+    R(y), still lies outside the span of the rays found; an R(y) holding
+    the intersection cannot cut it.  The list grows from `_kernel_source`
+    only when a pass has used all of it and is still above dimension 1.
+    Had a pass ended on two unfound vertices, or an unfound u and a found
+    f, non-nesting gives a y in the kernel of u and not of the other: a
+    hidden vertex one level down, which a basis vector at n >= 3 and a
+    unit vector of a monomial view at n = 2 are, and in other views a
+    uniform draw with positive probability.  The pass would have kept its
+    R(y).  So each pass ends on one new ray, and one that does not, as on
     nested views, raises VerificationFailed.
     """
     d = view.level_dims[n]
@@ -262,10 +267,11 @@ def _peeled_vertex_rays(view: AlgebraView, n: int):
                 kernels.append(ker)
             ker = kernels[i]
             i += 1
+            if ker.contains_subspace(acc):
+                continue
             meet = ker if acc is whole else acc.intersect(ker)
-            # meet lies in acc, so of equal dimension it is acc; a meet
-            # larger than the found span cannot lie in it
-            if meet.dim == acc.dim or meet.dim > found.dim or not found.contains_subspace(meet):
+            # a meet larger than the found span cannot lie in it
+            if meet.dim > found.dim or not found.contains_subspace(meet):
                 acc = meet
         rays.append(acc.basis[0])
     return rays
@@ -382,7 +388,9 @@ def _nonnesting_core(view: AlgebraView):
                     f"level {i} vector {pos} has successor count <= 1"
                 )
         for a, b in itertools.permutations(range(len(basis.vectors)), 2):
-            if basis.kappas[a].contains_subspace(basis.kappas[b]):
+            # nested kernels of equal dimension are equal
+            ka, kb = basis.kappas[a], basis.kappas[b]
+            if ka == kb or ka.dim > kb.dim and ka.contains_subspace(kb):
                 raise NonNestingViolated(
                     f"nested successor sets at level {i} (vectors {a}, {b})"
                 )
@@ -424,10 +432,13 @@ def _level_one_sets(basis2: UpperBasis, size: int, count: int):
     seeded order, least covered first, keeps each one that leaves the
     intersection of dimension >= 2, and accepts its set if it has `size`
     members.  The certificate then shows that no other such set exists.
+    A pass keeps one echelon of the equations cutting out the kappas
+    kept, so the intersection has dimension d minus its rank.
     """
     kappas = basis2.kappas
+    field, d = kappas[0].field, kappas[0].ambient_dim
+    eqs = [kernel(kap.basis, d, field).basis for kap in kappas]
     rng = random.Random(0x1A6A ^ size)
-    whole = full_space(kappas[0].ambient_dim, kappas[0].field)
     order = list(range(len(kappas)))
     cover = [0] * len(order)
     found: set[tuple] = set()
@@ -436,12 +447,13 @@ def _level_one_sets(basis2: UpperBasis, size: int, count: int):
         passes += 1
         rng.shuffle(order)
         order.sort(key=cover.__getitem__)
-        acc, kept = whole, []
+        pivots, rows, kept = [], [], []
         for j in order:
-            meet = kappas[j] if acc is whole else acc.intersect(kappas[j])
-            if meet.dim >= 2:
-                acc = meet
+            rank = len(rows)
+            if d - _extend_echelon(pivots, rows, eqs[j], field) >= 2:
                 kept.append(j)
+            else:
+                del pivots[rank:], rows[rank:]
         kept = tuple(sorted(kept))
         if len(kept) == size and kept not in found:
             found.add(kept)

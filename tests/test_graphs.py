@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -291,6 +292,29 @@ def test_dot_output(boolean3):
     assert dot.startswith("digraph")
     assert dot.count("->") == len(boolean3.edges)
     assert "rank=same" in dot
+
+
+@pytest.mark.parametrize(
+    "g, digest",
+    [
+        (build_boolean(3), "73f67a26969cd56a03bb4d9b0065b17fb570034a99e7d0729ab062760a1c3509"),
+        (
+            build_subspace_lattice(2, 3),
+            "f72604c375bdd5acca26b5512e218c2e6d7bbd48fbb3a9df7f3259cf19711130",
+        ),
+        (build_boolean(6), "6fd89ef600a2a918222b452e7ea3057c3d565ef17941e6224675966eb50c8d53"),
+    ],
+    ids=["boolean3", "subspace23", "boolean6"],
+)
+def test_label_reads_the_labels_and_dot_is_pinned(g, digest):
+    # label reads a map built once per graph; the DOT text names each
+    # vertex by its label, as it did when label rebuilt the map per call
+    labels = dict(g.labels)
+    assert len(labels) == len(g.vertices())
+    assert all(g.label(v) == labels[v] for v in g.vertices())
+    assert g.label(V(g.top_level + 1, 0)) is None
+    assert build_graph([1, 2], []).label(V(1, 0)) is None
+    assert hashlib.sha256(to_dot(g).encode()).hexdigest() == digest
 
 
 def test_isomorphic_to_self_and_relabelings(boolean3):

@@ -22,7 +22,7 @@ from laga import (
     span,
     zero_space,
 )
-from laga.linalg import matrix_apply, reduce_vector, transpose
+from laga.linalg import _extend_echelon, matrix_apply, reduce_vector, transpose
 
 F2 = GF(2)
 F5 = GF(5)
@@ -349,6 +349,22 @@ def test_intersect_matches_filter_then_span(field, na, nb, dim, data):
     assert inter == _filtered_intersect(a, b)
     assert inter.ambient_dim == dim
     _assert_pivots_are_leading_columns(inter)
+
+
+@given(all_fields, sizes, sizes, st.data())
+@settings(max_examples=200, deadline=None)
+def test_incremental_echelon_rank_matches_rank(field, nrows, dim, data):
+    # rows fed in chunks, as a closure pass feeds one kernel's equations
+    rows = _sparse_rows(data, field, nrows, dim)
+    cuts = sorted(data.draw(st.lists(st.integers(0, nrows), max_size=3)))
+    pivots, echelon = [], []
+    for lo, hi in zip([0, *cuts], [*cuts, nrows]):
+        reported = _extend_echelon(pivots, echelon, rows[lo:hi], field)
+        assert reported == len(echelon) == rank(rows[:hi], field)
+    assert span(echelon, dim, field) == span(rows, dim, field)
+    # each row has a 1 at its pivot and is zero at the pivots before it
+    for i, (c, row) in enumerate(zip(pivots, echelon)):
+        assert row[c] == 1 and not any(row[b] for b in pivots[:i])
 
 
 def test_intersect_of_two_zero_subspaces():

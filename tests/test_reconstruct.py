@@ -737,12 +737,18 @@ def test_subspace24_over_f2_recovers():
         pytest.param(("subspace", 2, 4), 5, 10, id="subspace24-F5"),
         pytest.param(("subspace", 2, 4), 7, 10, id="subspace24-F7"),
         pytest.param(("boolean", 6), 7, 5, id="boolean6-F7"),
+        pytest.param(("boolean", 4), 1009, 5, id="boolean4-F1009"),
+        pytest.param(("subspace", 2, 3), 101, 5, id="subspace23-F101"),
+        pytest.param(("boolean", 6), 2**31 - 1, 5, id="boolean6-F2^31-1"),
+        pytest.param(("subspace", 3, 3), 2**31 - 1, 5, id="subspace33-F2^31-1"),
     ],
 )
 def test_recovers_over_larger_fields(spec, p, bound):
-    # the level >= 3 rays come from the basis below, so the kernel count
-    # does not grow with p, where a uniform draw lies in kappa(v) only
-    # with probability p^-(codim kappa(v)); reconstruct_* certifies
+    # the level >= 3 rays come from the basis below and the level-2 rays
+    # from the level-1 unit vectors, so the kernel count does not grow
+    # with p, where a uniform draw lies in kappa(v) only with probability
+    # p^-(codim kappa(v)); the scramble draws its scalars without listing
+    # F_p; reconstruct_* certifies
     g = _lattice(spec)
     view = algebra_view(g, GF(p), scramble_seed=1)
     start = time.perf_counter()
@@ -752,6 +758,27 @@ def test_recovers_over_larger_fields(spec, p, bound):
         result = reconstruct_subspace(view, *spec[1:])
     assert time.perf_counter() - start < bound
     assert result.levels == g.levels
+
+
+@pytest.mark.parametrize(
+    "spec, p",
+    [(("boolean", 5), 3), (("subspace", 3, 3), 3), (("subspace", 2, 4), 5), (("boolean", 6), 7)],
+    ids=["boolean5-F3", "subspace33-F3", "subspace24-F5", "boolean6-F7"],
+)
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_monomial_views_need_no_level2_draws(spec, p, seed, monkeypatch):
+    # in a plain or scrambled view each level-1 unit vector is a scaled
+    # hidden vertex, so their kernels alone peel level 2
+    def no_scan(*args, **kwargs):
+        raise AssertionError("exhaustive ray scan")
+
+    monkeypatch.setattr(laga.reconstruct, "_KERNEL_DRAWS_PER_RAY", 0)
+    monkeypatch.setattr(laga.reconstruct, "_exhaustive_scan", no_scan)
+    g = _lattice(spec)
+    view = algebra_view(g, GF(p), scramble_seed=seed)
+    family, *params = spec
+    recover = reconstruct_boolean if family == "boolean" else reconstruct_subspace
+    assert are_isomorphic(recover(view, *params), g) is not None
 
 
 def test_view_rejects_elements_of_another_field(boolean3):
