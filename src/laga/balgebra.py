@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import ClassPartition, LayeredGraph, V, _succ_map, class_partition, is_uniform
+from .graphs import ClassPartition, LayeredGraph, V, class_partition, is_uniform, memo
 from .gralgebra import HilbertTable, _path_counts, _vertex_paths_from, gr_hilbert_table
 from .linalg import (
     Subspace,
@@ -211,16 +211,18 @@ def _set_partition(g: LayeredGraph, vertex_set) -> ClassPartition:
 
 def kappa_combinatorial(g: LayeredGraph, vertex_set, *, field: FieldSpec = QQ) -> Subspace:
     """Span of the class sums of the co-coverage partition, in the
-    coordinates of the level below."""
+    coordinates of the level below.  The classes are disjoint and sorted
+    by their least vertex, so their sums already are the canonical
+    basis, with pivots at those vertices."""
     part = _set_partition(g, vertex_set)
     width = g.levels[part.ground_level]
-    gens = []
+    basis = []
     for cls in part.classes:
         vec = [field.zero] * width
         for w in cls:
             vec[w.index] = field.one
-        gens.append(vec)
-    return span(gens, width, field)
+        basis.append(tuple(vec))
+    return Subspace(field, width, tuple(basis), tuple(cls[0].index for cls in part.classes))
 
 
 def _check_kappa_element(g: LayeredGraph, a: BElement) -> None:
@@ -265,19 +267,27 @@ def degree2_product(g: LayeredGraph, n: int, x, y, field: FieldSpec = QQ) -> tup
         return ()
     x = field.vector(x)
     y = field.vector(y)
-    zero = field.zero
-    succ_map = _succ_map(g)
-    out = []
-    for v in g.level_vertices(n):
-        succ = succ_map.get(v, ())
-        a = x[v.index]
-        if not a or len(succ) < 2:
-            out += [zero] * (len(succ) - 1)
-            continue
-        y0 = y[succ[0].index]
-        diffs = (y[s.index] - y0 for s in succ[1:])
-        out += [field(a * d) if d else zero for d in diffs]
+    blocks, width = _product_blocks(g, n)
+    out = [field.zero] * width
+    for a, (start, succ) in zip(x, blocks):
+        if a and len(succ) > 1:
+            y0 = y[succ[0]]
+            for k, s in enumerate(succ[1:], start):
+                if y[s] != y0:
+                    out[k] = field(a * (y[s] - y0))
     return tuple(out)
+
+
+@memo
+def _product_blocks(g: LayeredGraph, n: int):
+    """(start column, successor indices) of each level-n vertex's block of
+    `degree2_product`, and the total width."""
+    blocks, width = [], 0
+    for v in g.level_vertices(n):
+        succ = tuple(w.index for w in g.succ(v))
+        blocks.append((width, succ))
+        width += max(len(succ) - 1, 0)
+    return tuple(blocks), width
 
 
 def kappa_kernel(g: LayeredGraph, a: BElement) -> Subspace:

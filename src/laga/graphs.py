@@ -441,72 +441,93 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 def are_isomorphic(g1: LayeredGraph, g2: LayeredGraph) -> Optional[dict[V, V]]:
     """Level-preserving graph isomorphism by per-level backtracking.
 
-    Returns a vertex bijection or None.  Candidates are pruned by
-    (out-degree, in-degree) profile and, above level 0, by the image of
-    the successor set (already fully mapped).  Every candidate
-    assignment counts as one search node against `LAGA_BUDGET`.
+    Returns a vertex bijection or None.  The next vertex is the one with
+    the most mapped neighbors, counted as the map grows.  Its candidates
+    are drawn from the neighbors of a mapped neighbor's image and pruned
+    by (out-degree, in-degree) profile and by the images of its mapped
+    neighbors.  Every candidate assignment counts as one search node
+    against `LAGA_BUDGET`.
     """
     if g1.levels != g2.levels:
         return None
 
-    def profile(g, v):
-        return (g.out_degree(v), len(g.pred(v)))
+    def profiles(g):
+        return {v: (g.out_degree(v), len(g.pred(v))) for v in g.vertices()}
 
-    for n in range(len(g1.levels)):
-        p1 = sorted(profile(g1, v) for v in g1.level_vertices(n))
-        p2 = sorted(profile(g2, v) for v in g2.level_vertices(n))
-        if p1 != p2:
-            return None
+    # the (out-degree, in-degree) multisets must agree level by level
+    prof1, prof2 = profiles(g1), profiles(g2)
+    if sorted((v.level, p) for v, p in prof1.items()) != sorted(
+        (w.level, p) for w, p in prof2.items()
+    ):
+        return None
 
-    verts = g1.vertices()
-    pools = {n: list(g2.level_vertices(n)) for n in range(len(g2.levels))}
     mapping: dict[V, V] = {}
     used: set[V] = set()
+    unmapped = set(prof1)
+    # the selection key of each vertex of g1, packed in one int: its
+    # mapped neighbors, then its level, then its lower index
+    step = len(prof1)
+    key = {u: i for i, u in enumerate(sorted(prof1, key=lambda u: (u.level, -u.index)))}
+    # the used successors and predecessors of each vertex of g2
+    used_succ = dict.fromkeys(prof2, 0)
+    used_pred = dict.fromkeys(prof2, 0)
 
-    def constrained(v: V) -> int:
-        return sum(1 for u in g1.succ(v) + g1.pred(v) if u in mapping)
+    def assign(v: V, w: V, sign: int) -> None:
+        """Map v to w (sign 1) or undo it (sign -1), keeping the counts."""
+        for u in g1.succ(v) + g1.pred(v):
+            key[u] += sign * step
+        for s in g2.succ(w):
+            used_pred[s] += sign
+        for p in g2.pred(w):
+            used_succ[p] += sign
 
     def candidates(v: V):
-        # mapped neighbors of v must map exactly onto the mapped
-        # neighborhood of the candidate, in both directions
-        want_succ = {mapping[s] for s in g1.succ(v) if s in mapping}
-        n_succ = sum(1 for s in g1.succ(v) if s in mapping)
-        want_pred = {mapping[p] for p in g1.pred(v) if p in mapping}
-        n_pred = sum(1 for p in g1.pred(v) if p in mapping)
-        for w in pools[v.level]:
-            if w in used or profile(g1, v) != profile(g2, w):
-                continue
-            have_succ = {s for s in g2.succ(w) if s in used}
-            if len(have_succ) != n_succ or have_succ != want_succ:
-                continue
-            have_pred = {p for p in g2.pred(w) if p in used}
-            if len(have_pred) != n_pred or have_pred != want_pred:
-                continue
-            yield w
+        # mapped neighbors of v must map exactly onto the used neighbors
+        # of the candidate, in both directions, so a candidate lies next
+        # to the image of any mapped neighbor
+        want_succ = [mapping[s] for s in g1.succ(v) if s in mapping]
+        want_pred = [mapping[p] for p in g1.pred(v) if p in mapping]
+        if want_succ:
+            pool = g2.pred(want_succ[0])
+        elif want_pred:
+            pool = g2.succ(want_pred[0])
+        else:
+            pool = g2.level_vertices(v.level)
+        counts = (prof1[v], len(want_succ), len(want_pred))
+        for w in pool:
+            if (
+                w not in used
+                and (prof2[w], used_succ[w], used_pred[w]) == counts
+                and all((w, s) in g2.edges for s in want_succ)
+                and all((p, w) in g2.edges for p in want_pred)
+            ):
+                yield w
 
     # depth-first search on an explicit stack of (vertex, its remaining
     # candidates), so no recursive closure keeps the graphs in a cycle
     frames: list = []
     budget = enumeration_budget()
     nodes = 0
-    while len(mapping) < len(verts):
+    while unmapped:
         # most-constrained vertex first: forced assignments collapse the
         # search on highly symmetric graphs
-        v = max(
-            (u for u in verts if u not in mapping),
-            key=lambda u: (constrained(u), u.level, -u.index),
-        )
+        v = max(unmapped, key=key.__getitem__)
         frames.append((v, candidates(v)))
         while frames:
             v, options = frames[-1]
             if v in mapping:
-                used.remove(mapping.pop(v))
+                w = mapping.pop(v)
+                used.remove(w)
+                unmapped.add(v)
+                assign(v, w, -1)
             w = next(options, None)
             if w is not None:
                 nodes += 1
                 _within_budget(nodes, "isomorphism search nodes", budget)
                 mapping[v] = w
                 used.add(w)
+                unmapped.remove(v)
+                assign(v, w, 1)
                 break
             frames.pop()
         else:

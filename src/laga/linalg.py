@@ -7,10 +7,12 @@ code path serves both fields.  Subspaces are kept in canonical reduced
 row echelon form, so equality of subspaces is equality of tuples and
 canonical forms can be used as dictionary keys.  Each subspace carries
 the pivot columns of its basis rows, so reducing a vector against it
-never searches a row for its pivot.  A kernel is read off one rref of
-[M | I], an intersection off one rref of [residual | x] over the basis
-rows x of the smaller space, each reduced against the larger; the rows
-that vanish on the left block are already the canonical basis.
+never searches a row for its pivot.  A left kernel is read off one
+rref of the live block of [M | I], the nonzero rows of M cut to its
+nonzero columns, with the unit vector of each zero row of M merged in
+by pivot; an intersection off one rref of [residual | x] over the basis
+rows x of the smaller space, each reduced against the larger.  In both,
+the rows that vanish on the left block are already the canonical basis.
 """
 
 from __future__ import annotations
@@ -203,12 +205,32 @@ def kernel(rows: Sequence[Sequence], ncols: int, field: FieldSpec) -> Subspace:
 
 
 def left_kernel(rows: Sequence[Sequence], field: FieldSpec) -> Subspace:
-    """{x : x M = 0} for M given as a list of rows: rref [M | I] keeps
-    x M = 0 in the right block of the rows that vanish on the left."""
-    ncols = len(rows[0]) if rows else 0
-    eye = identity(len(rows), field)
-    stacked = [list(row) + unit for row, unit in zip(rows, eye)]
-    return _right_block(*rref(stacked, field), ncols, len(rows), field)
+    """{x : x M = 0} for M given as a list of rows.
+
+    Only the live block of [M | I] is reduced: the nonzero rows of M, cut
+    to its nonzero columns.  Each zero row of M then adds its unit
+    vector, which no other basis row touches, in pivot order."""
+    if len({len(row) for row in rows}) > 1:
+        raise AmbientMismatch(f"ragged matrix: row lengths {sorted({len(r) for r in rows})}")
+    # a row of falsy entries is zero in any field; a live row that is
+    # zero only modulo p reduces to zero in the rref
+    live = [i for i, row in enumerate(rows) if any(row)]
+    cols = [col for col in zip(*(field.vector(rows[i]) for i in live)) if any(col)]
+    block = zip(*cols) if cols else [()] * len(live)
+    stacked = [[*row, *unit] for row, unit in zip(block, identity(len(live), field))]
+    space = _right_block(*_rref(stacked, field), len(cols), len(live), field)
+    # the kernel row with pivot i, as (index, entry) pairs
+    found = {live[c]: zip(live, row) for c, row in zip(space.pivots, space.basis)}
+    for i in set(range(len(rows))).difference(live):
+        found[i] = ((i, field.one),)
+    zero = [field.zero] * len(rows)
+    basis = []
+    for i in sorted(found):
+        vec = zero.copy()
+        for j, x in found[i]:
+            vec[j] = x
+        basis.append(tuple(vec))
+    return Subspace(field, len(rows), tuple(basis), tuple(sorted(found)))
 
 
 def transpose(rows: Sequence[Sequence]) -> list[list]:

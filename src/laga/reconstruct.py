@@ -22,6 +22,7 @@ bases, and the out-degrees read off them, start at level 2.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -57,7 +58,6 @@ from .linalg import (
     enumerate_rays,
     full_space,
     identity,
-    kernel,
     left_kernel,
     span,
     zero_space,
@@ -110,8 +110,8 @@ class AlgebraView:
     def multiply(self, n: int, x, y) -> tuple:
         """Bilinear product of a level-n vector and a level-(n-1) vector,
         as two `FieldSpec.combine` steps: y times each row of cells t[i],
-        then x times those rows.  The view kernels read their rows straight
-        off the tensors; this is the reference the tests hold them to."""
+        then x times those rows.  The view kernels combine only the
+        nonzero cells; this is the reference the tests hold them to."""
         if n < 2 or n > self.top_level:
             return ()
         field = self.field
@@ -151,20 +151,35 @@ def algebra_view(
         maps = {n: identity(g.levels[n], field) for n in range(1, g.top_level + 1)}
     else:
         maps = _scramble_maps(g, field, random.Random(scramble_seed))
-    tensors: list = [None, None]
-    for n in range(2, g.top_level + 1):
-        tensors.append(
-            tuple(
-                tuple(degree2_product(g, n, x, y, field) for y in maps[n - 1])
-                for x in maps[n]
-            )
-        )
+    tensors = [None, None] + [
+        _level_tensor(g, n, maps[n], maps[n - 1], field) for n in range(2, g.top_level + 1)
+    ]
     return AlgebraView(
         field=field,
         level_dims=(0,) + g.levels[1:],
         tensors=tuple(tensors),
         plain=scramble_seed is None,
     )
+
+
+def _level_tensor(g: LayeredGraph, n: int, xs, ys, field: FieldSpec) -> tuple:
+    """The level-n tensor in the bases xs of level n and ys of level n-1.
+
+    A product is zero off edges, so only the cells (i, j) where xs[i] and
+    ys[j] are nonzero at the ends of some edge are multiplied out; the
+    others share the zero cell."""
+    d, d_prev = g.levels[n], g.levels[n - 1]
+    zero_cell = degree2_product(g, n, [field.zero] * d, [field.zero] * d_prev, field)
+    # the columns j with ys[j] nonzero at each level-(n-1) vertex
+    cols_at = [[j for j, y in enumerate(ys) if y[w]] for w in range(d_prev)]
+    rows = []
+    for x in xs:
+        row = [zero_cell] * d_prev
+        live = {j for v, a in enumerate(x) if a for w in g.succ(V(n, v)) for j in cols_at[w.index]}
+        for j in live:
+            row[j] = degree2_product(g, n, x, ys[j], field)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
@@ -175,11 +190,11 @@ def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
     norm = tuple(view.field.vector(coords))
     if len(norm) != view.level_dims[n]:
         raise LevelMismatch(f"{len(norm)} coords at level of dimension {view.level_dims[n]}")
-    # coords * e_j sums column j over the rows the coords touch; level 1
-    # has no tensor and multiplies into nothing
-    rows = [(c, row) for c, row in zip(norm, view.tensors[n] if n >= 2 else ()) if c]
-    cols = [[row[j] for _, row in rows] for j in range(view.level_dims[n - 1])]
-    return left_kernel([view.field.combine([c for c, _ in rows], col) for col in cols], view.field)
+    if n == 1:
+        return zero_space(0, view.field)  # level 1 multiplies into nothing
+    # coords * e_j sums the nonzero cells of column j
+    _, cols, zero = _level_cells(view, n)
+    return left_kernel([_combine_cells(norm, col, zero, view.field) for col in cols], view.field)
 
 
 @dataclass(frozen=True)
@@ -193,10 +208,38 @@ class UpperBasis:
     ks: tuple
 
 
+@memo
+def _level_cells(view: AlgebraView, n: int):
+    """The nonzero cells of the level-n tensor as (rows, cols, zero):
+    rows[i] lists the pairs (j, cell) of row i, cols[j] the pairs (i, cell)
+    of column j, and zero is the zero row of a kernel matrix."""
+    rows: list = [[] for _ in range(view.level_dims[n])]
+    cols: list = [[] for _ in range(view.level_dims[n - 1])]
+    for i, row in enumerate(view.tensors[n]):
+        for j, cell in enumerate(row):
+            if any(cell):
+                rows[i].append((j, cell))
+                cols[j].append((i, cell))
+    width = next((len(cell) for row in view.tensors[n] for cell in row), 0)
+    return rows, cols, (view.field.zero,) * width
+
+
+def _combine_cells(coeffs, cells, zero: tuple, field: FieldSpec):
+    """The sum of c * cell over the pairs (k, cell) with c = coeffs[k]
+    nonzero, added a whole cell at a time in plain ints, reduced once."""
+    acc = None
+    for k, cell in cells:
+        if c := coeffs[k]:
+            acc = [c * b for b in cell] if acc is None else [a + c * b for a, b in zip(acc, cell)]
+    if acc is None:
+        return zero
+    return acc if field.p is None else [a % field.p for a in acc]
+
+
 def _right_mult_kernel(view: AlgebraView, n: int, y) -> Subspace:
     """{a in the level-n component : a * y = 0} for y one level down."""
-    rows = [view.field.combine(y, row) for row in view.tensors[n]]
-    return left_kernel(rows, view.field)
+    rows, _, zero = _level_cells(view, n)
+    return left_kernel([_combine_cells(y, row, zero, view.field) for row in rows], view.field)
 
 
 def _kernel_source(view: AlgebraView, n: int):
@@ -246,15 +289,26 @@ def _peeled_vertex_rays(view: AlgebraView, n: int):
     uniform draw with positive probability.  The pass would have kept its
     R(y).  So each pass ends on one new ray, and one that does not, as on
     nested views, raises VerificationFailed.
+
+    A pass follows the last one up to the first cut the last pass kept
+    that now lies in the found span; one exists, since the last ray
+    does, and every cut the last pass dropped lay in the smaller span.
+    So a pass resumes there, from the cut before it, and repeats no
+    intersection.
     """
     d = view.level_dims[n]
     source = _kernel_source(view, n)
     kernels: list = []
     rays: list = []
+    whole = full_space(d, view.field)
+    cuts: list = []  # the last pass's kept cuts, as (kernels used, intersection)
     while len(rays) < d:
         found = span(rays, d, view.field)
-        acc = whole = full_space(d, view.field)
-        i = 0
+        # the cuts shrink, so those in the found span come last
+        j = bisect.bisect_left(cuts, True, key=lambda cut: found.contains_subspace(cut[1]))
+        i = cuts[j][0] if cuts else 0
+        del cuts[j:]
+        acc = cuts[-1][1] if cuts else whole
         while acc.dim > 1:
             if i == len(kernels):
                 ker = next(source, None)
@@ -273,6 +327,7 @@ def _peeled_vertex_rays(view: AlgebraView, n: int):
             # a meet larger than the found span cannot lie in it
             if meet.dim > found.dim or not found.contains_subspace(meet):
                 acc = meet
+                cuts.append((i, acc))
         rays.append(acc.basis[0])
     return rays
 
@@ -420,6 +475,20 @@ def reconstruct_nonnesting(view: AlgebraView) -> LayeredGraph:
     return _nonnesting_core(view)[0]
 
 
+def _annihilator(space: Subspace) -> list:
+    """Equations cutting out a subspace, read off its RREF basis b_i with
+    pivots p_i: e_f - sum_i b_i[f] e_(p_i) for each free column f."""
+    field = space.field
+    eqs = []
+    for f in sorted(set(range(space.ambient_dim)).difference(space.pivots)):
+        eq = [field.zero] * space.ambient_dim
+        eq[f] = field.one
+        for c, row in zip(space.pivots, space.basis):
+            eq[c] = field(-row[f])
+        eqs.append(eq)
+    return eqs
+
+
 def _level_one_sets(basis2: UpperBasis, size: int, count: int):
     """The `count` sets A(u) = {v : u not in S(v)} of level-2 basis
     indices, one per hidden level-1 vertex u, found by greedy closure.
@@ -437,7 +506,7 @@ def _level_one_sets(basis2: UpperBasis, size: int, count: int):
     """
     kappas = basis2.kappas
     field, d = kappas[0].field, kappas[0].ambient_dim
-    eqs = [kernel(kap.basis, d, field).basis for kap in kappas]
+    eqs = [_annihilator(kap) for kap in kappas]
     rng = random.Random(0x1A6A ^ size)
     order = list(range(len(kappas)))
     cover = [0] * len(order)
@@ -531,13 +600,25 @@ def _scalar_from_json(field: FieldSpec, raw):
         raise DimensionMismatch(f"view entry {raw!r} is not a scalar") from exc
 
 
+def _cell_to_json(cell) -> list:
+    """A cell of ints is copied whole; any other goes entry by entry."""
+    if set(map(type, cell)) <= {int}:
+        return list(cell)
+    return [_scalar_to_json(c) for c in cell]
+
+
+def _cell_from_json(field: FieldSpec, cell, zero: tuple) -> tuple:
+    """Over F_p a cell of ints is reduced whole, and a zero one is `zero`;
+    any other cell goes entry by entry, which raises on a bad entry."""
+    if field.p is not None and set(map(type, cell)) <= {int}:
+        return tuple([c % field.p for c in cell]) if any(cell) else zero
+    return tuple(_scalar_from_json(field, c) for c in cell)
+
+
 def view_to_json_dict(view: AlgebraView) -> dict:
     tensors = {}
     for n in range(2, view.top_level + 1):
-        tensors[str(n)] = [
-            [[_scalar_to_json(c) for c in cell] for cell in row]
-            for row in view.tensors[n]
-        ]
+        tensors[str(n)] = [[_cell_to_json(cell) for cell in row] for row in view.tensors[n]]
     return {
         "field": view.field.p,
         "level_dims": list(view.level_dims),
@@ -579,11 +660,9 @@ def view_from_json_dict(data: dict) -> AlgebraView:
             raise DimensionMismatch(
                 f"level {n} tensor is not {dims[n]} x {dims[n - 1]} cells of one width"
             )
+        zero = (field.zero,) * next((len(cell) for row in rows for cell in row), 0)
         tensors.append(
-            tuple(
-                tuple(tuple(_scalar_from_json(field, c) for c in cell) for cell in row)
-                for row in rows
-            )
+            tuple(tuple(_cell_from_json(field, cell, zero) for cell in row) for row in rows)
         )
     return AlgebraView(
         field=field,

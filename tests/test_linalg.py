@@ -22,7 +22,7 @@ from laga import (
     span,
     zero_space,
 )
-from laga.linalg import _extend_echelon, matrix_apply, reduce_vector, transpose
+from laga.linalg import _extend_echelon, identity, matrix_apply, reduce_vector, transpose
 
 F2 = GF(2)
 F5 = GF(5)
@@ -287,6 +287,15 @@ def _transposed_left_kernel(rows, field):
     return _free_column_kernel(transpose(rows), len(rows), field)
 
 
+def _dense_left_kernel(rows, field):
+    """{x : x M = 0} read off one rref of the whole [M | I]."""
+    ncols = len(rows[0]) if rows else 0
+    stacked = [list(row) + unit for row, unit in zip(rows, identity(len(rows), field))]
+    reduced, pivots = rref(stacked, field)
+    basis = tuple(tuple(row[ncols:]) for row, c in zip(reduced, pivots) if c >= ncols)
+    return basis, tuple(c - ncols for c in pivots if c >= ncols)
+
+
 def _filtered_intersect(a, b):
     """Zassenhaus: keep the rref rows whose left block is zero, then span."""
     n, zero = a.ambient_dim, a.field.zero
@@ -422,3 +431,22 @@ def test_ragged_matrices_raise():
         rref([[1], [1, 2]], QQ)
     with pytest.raises(AmbientMismatch):
         rank([[1], [1, 2]], F5)
+
+
+@given(all_fields, sizes, sizes, st.data())
+@settings(max_examples=200, deadline=None)
+def test_live_block_left_kernel_matches_the_dense_rref(field, nrows, ncols, data):
+    # raw entries, so that over F_p a nonzero int may be zero modulo p;
+    # then whole rows and columns are zeroed
+    entry = st.fractions(-4, 4, max_denominator=5) if field.is_rational else st.integers(-8, 8)
+    row = st.lists(st.one_of(st.just(0), entry), min_size=ncols, max_size=ncols)
+    m = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+    dead_rows = data.draw(st.sets(st.integers(0, 4)))
+    dead_cols = data.draw(st.sets(st.integers(0, 4)))
+    m = [
+        [0 if i in dead_rows or j in dead_cols else x for j, x in enumerate(r)]
+        for i, r in enumerate(m)
+    ]
+    ker = left_kernel(m, field)
+    assert (ker.basis, ker.pivots) == _dense_left_kernel(m, field)
+    assert ker.ambient_dim == nrows

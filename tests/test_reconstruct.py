@@ -203,6 +203,31 @@ def test_view_kernels_are_the_unit_vector_products(spec, p, seed):
     assert proper
 
 
+@pytest.mark.parametrize(
+    "spec, p, seed",
+    [(("boolean", 4), 3, 1), (("subspace", 2, 3), 5, 2), (("boolean", 5), 2, 3)],
+)
+def test_view_kernels_are_the_unit_vector_products_in_a_random_basis(spec, p, seed):
+    # a random basis leaves few zero cells; the kernels must still equal
+    # the ones built from `multiply`, for the upper basis vectors, their
+    # kappas and dense random elements
+    field = GF(p)
+    view = _random_basis_view(_lattice(spec), field, seed)
+    rng = random.Random(seed)
+    for n in range(2, view.top_level + 1):
+        d, d_prev = view.level_dims[n], view.level_dims[n - 1]
+        basis = upper_vertex_like_basis(view, n)
+        xs = list(basis.vectors) + [tuple(rng.randrange(p) for _ in range(d)) for _ in range(3)]
+        ys = [row for kap in basis.kappas for row in kap.basis]
+        ys += [tuple(rng.randrange(p) for _ in range(d_prev)) for _ in range(3)]
+        for x in xs:
+            rows = [view.multiply(n, x, e) for e in identity(d_prev, field)]
+            assert kappa_view(view, n, x) == left_kernel(rows, field)
+        for y in ys:
+            rows = [view.multiply(n, e, y) for e in identity(d, field)]
+            assert _right_mult_kernel(view, n, y) == left_kernel(rows, field)
+
+
 def test_basis_modes_agree_on_plain_view(boolean3):
     # the scan's kernels are those of the standard (vertex) basis
     view = algebra_view(boolean3)
@@ -622,6 +647,15 @@ def test_view_with_a_ragged_cell_is_a_shape_error(boolean3):
         view_from_json_dict(data)
 
 
+@pytest.mark.parametrize("entry", [True, 1.5, [1]], ids=["bool", "float", "list"])
+def test_view_entries_that_are_not_scalars_are_shape_errors(boolean3, entry):
+    # a cell of ints is read whole; any other cell is read entry by entry
+    data = view_to_json_dict(algebra_view(boolean3, GF(5), scramble_seed=1))
+    data["tensors"]["2"][0][0][0] = entry
+    with pytest.raises(DimensionMismatch, match="neither an int nor a string"):
+        view_from_json_dict(data)
+
+
 def test_views_are_not_kept_alive_by_caches(boolean4):
     view = algebra_view(boolean4, scramble_seed=3)
     ref = weakref.ref(view)
@@ -633,12 +667,13 @@ def test_views_are_not_kept_alive_by_caches(boolean4):
 
 def test_exhaustive_scan_keeps_no_kernel_per_ray(nested_graph):
     # the scan asks for the kernel of every ray of the level; only the
-    # upper basis of each level may stay on the view
+    # nonzero cells and the upper basis of each level may stay on the view
     view = algebra_view(nested_graph, GF(5))
     _exhaustive_scan(view, 2)
-    assert view._cache == {}
+    cells = (laga.reconstruct._level_cells.__wrapped__, 2)
+    assert list(view._cache) == [cells]
     upper_vertex_like_basis(view, 2)
-    assert list(view._cache) == [(laga.reconstruct._upper_basis.__wrapped__, 2)]
+    assert list(view._cache) == [cells, (laga.reconstruct._upper_basis.__wrapped__, 2)]
 
 
 def test_graphs_are_not_kept_alive_by_caches():
