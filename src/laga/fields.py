@@ -56,14 +56,15 @@ class FieldSpec:
         return self.p is None
 
     def __call__(self, x) -> Fraction | int:
-        """Coerce an int or Fraction, or a string of one, into this
-        field; F_p takes only integral values."""
+        """Coerce an int, Fraction, float or string into this field; F_p
+        takes only integral values, so 1.5 and "1/2" raise there."""
         if self.p is None:
             return Fraction(x)
         if type(x) is not int:
-            if isinstance(x, Fraction) and x.denominator != 1:
+            x = Fraction(x)
+            if x.denominator != 1:
                 raise UnsupportedField(f"cannot coerce {x} into {self.describe()}")
-            x = int(x)
+            x = x.numerator
         return x % self.p
 
     def vector(self, xs) -> list:

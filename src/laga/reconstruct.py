@@ -88,15 +88,16 @@ class AlgebraView:
     """Structure constants of the algebra in an opaque basis.
 
     level_dims[n] is the dimension of the degree-(1, n) component
-    (entry 0 is always 0).  tensors[n][i][j] holds the quotient
-    coordinates of the product of level-n basis vector i with
-    level-(n-1) basis vector j, for n >= 2.  Reconstruction code may
-    consult nothing else.
+    (entry 0 is always 0).  For n >= 2, cells[n][i] holds the pairs
+    (j, cell), j ascending, where the product of level-n basis vector i
+    with level-(n-1) basis vector j is nonzero, with its quotient
+    coordinates as the cell; every other product is zero.
+    Reconstruction code may consult nothing else.
     """
 
     field: FieldSpec
     level_dims: tuple[int, ...]
-    tensors: tuple
+    cells: tuple
     plain: bool = False
     # the upper basis of each level, once computed (see `memo`)
     _cache: dict = dataclasses.field(
@@ -109,15 +110,15 @@ class AlgebraView:
 
     def multiply(self, n: int, x, y) -> tuple:
         """Bilinear product of a level-n vector and a level-(n-1) vector,
-        as two `FieldSpec.combine` steps: y times each row of cells t[i],
-        then x times those rows.  The view kernels combine only the
-        nonzero cells; this is the reference the tests hold them to."""
+        as one `FieldSpec.combine` over every stored cell (i, j) weighted
+        by x_i * y_j.  The view kernels group the cells by row or column;
+        this is the reference the tests hold them to."""
         if n < 2 or n > self.top_level:
             return ()
         field = self.field
-        y = field.vector(y)
-        rows = [field.combine(y, row) for row in self.tensors[n]]
-        return tuple(field.combine(field.vector(x), rows))
+        x, y = field.vector(x), field.vector(y)
+        pairs = [(x[i] * y[j], cell) for i, row in enumerate(self.cells[n]) for j, cell in row]
+        return tuple(field.combine([c for c, _ in pairs], [cell for _, cell in pairs]))
 
 
 def _scramble_maps(g: LayeredGraph, field: FieldSpec, rng) -> dict[int, list[list]]:
@@ -151,34 +152,26 @@ def algebra_view(
         maps = {n: identity(g.levels[n], field) for n in range(1, g.top_level + 1)}
     else:
         maps = _scramble_maps(g, field, random.Random(scramble_seed))
-    tensors = [None, None] + [
-        _level_tensor(g, n, maps[n], maps[n - 1], field) for n in range(2, g.top_level + 1)
-    ]
-    return AlgebraView(
-        field=field,
-        level_dims=(0,) + g.levels[1:],
-        tensors=tuple(tensors),
-        plain=scramble_seed is None,
-    )
+    cells = [_nonzero_cells(g, n, maps[n], maps[n - 1], field) for n in range(2, g.top_level + 1)]
+    dims = (0,) + g.levels[1:]
+    return AlgebraView(field, dims, (None, None) + tuple(cells), plain=scramble_seed is None)
 
 
-def _level_tensor(g: LayeredGraph, n: int, xs, ys, field: FieldSpec) -> tuple:
-    """The level-n tensor in the bases xs of level n and ys of level n-1.
+def _nonzero_cells(g: LayeredGraph, n: int, xs, ys, field: FieldSpec) -> tuple:
+    """The nonzero cells of level n in the bases xs of level n and ys of
+    level n-1, as the (j, cell) pairs of each row.
 
     A product is zero off edges, so only the cells (i, j) where xs[i] and
-    ys[j] are nonzero at the ends of some edge are multiplied out; the
-    others share the zero cell."""
-    d, d_prev = g.levels[n], g.levels[n - 1]
-    zero_cell = degree2_product(g, n, [field.zero] * d, [field.zero] * d_prev, field)
+    ys[j] are nonzero at the ends of some edge are multiplied out, and
+    one that still comes out zero, as at a vertex with one successor, is
+    dropped."""
     # the columns j with ys[j] nonzero at each level-(n-1) vertex
-    cols_at = [[j for j, y in enumerate(ys) if y[w]] for w in range(d_prev)]
+    cols_at = [[j for j, y in enumerate(ys) if y[w]] for w in range(g.levels[n - 1])]
     rows = []
     for x in xs:
-        row = [zero_cell] * d_prev
         live = {j for v, a in enumerate(x) if a for w in g.succ(V(n, v)) for j in cols_at[w.index]}
-        for j in live:
-            row[j] = degree2_product(g, n, x, ys[j], field)
-        rows.append(tuple(row))
+        products = ((j, degree2_product(g, n, x, ys[j], field)) for j in sorted(live))
+        rows.append(tuple((j, cell) for j, cell in products if any(cell)))
     return tuple(rows)
 
 
@@ -192,9 +185,14 @@ def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
         raise LevelMismatch(f"{len(norm)} coords at level of dimension {view.level_dims[n]}")
     if n == 1:
         return zero_space(0, view.field)  # level 1 multiplies into nothing
-    # coords * e_j sums the nonzero cells of column j
-    _, cols, zero = _level_cells(view, n)
-    return left_kernel([_combine_cells(norm, col, zero, view.field) for col in cols], view.field)
+    # coords * e_j sums the cells of column j in the rows coords touches
+    cols: list = [[] for _ in range(view.level_dims[n - 1])]
+    for i, c in enumerate(norm):
+        if c:
+            for j, cell in view.cells[n][i]:
+                cols[j].append((i, cell))
+    field, width = view.field, _width(view, n)
+    return left_kernel([_combine_cells(norm, col, width, field) for col in cols], field)
 
 
 @dataclass(frozen=True)
@@ -208,23 +206,12 @@ class UpperBasis:
     ks: tuple
 
 
-@memo
-def _level_cells(view: AlgebraView, n: int):
-    """The nonzero cells of the level-n tensor as (rows, cols, zero):
-    rows[i] lists the pairs (j, cell) of row i, cols[j] the pairs (i, cell)
-    of column j, and zero is the zero row of a kernel matrix."""
-    rows: list = [[] for _ in range(view.level_dims[n])]
-    cols: list = [[] for _ in range(view.level_dims[n - 1])]
-    for i, row in enumerate(view.tensors[n]):
-        for j, cell in enumerate(row):
-            if any(cell):
-                rows[i].append((j, cell))
-                cols[j].append((i, cell))
-    width = next((len(cell) for row in view.tensors[n] for cell in row), 0)
-    return rows, cols, (view.field.zero,) * width
+def _width(view: AlgebraView, n: int) -> int:
+    """The length of any stored cell of level n, 0 if it stores none."""
+    return next((len(cell) for row in view.cells[n] for _, cell in row), 0)
 
 
-def _combine_cells(coeffs, cells, zero: tuple, field: FieldSpec):
+def _combine_cells(coeffs, cells, width: int, field: FieldSpec):
     """The sum of c * cell over the pairs (k, cell) with c = coeffs[k]
     nonzero, added a whole cell at a time in plain ints, reduced once."""
     acc = None
@@ -232,14 +219,14 @@ def _combine_cells(coeffs, cells, zero: tuple, field: FieldSpec):
         if c := coeffs[k]:
             acc = [c * b for b in cell] if acc is None else [a + c * b for a, b in zip(acc, cell)]
     if acc is None:
-        return zero
+        return [field.zero] * width
     return acc if field.p is None else [a % field.p for a in acc]
 
 
 def _right_mult_kernel(view: AlgebraView, n: int, y) -> Subspace:
     """{a in the level-n component : a * y = 0} for y one level down."""
-    rows, _, zero = _level_cells(view, n)
-    return left_kernel([_combine_cells(y, row, zero, view.field) for row in rows], view.field)
+    field, width = view.field, _width(view, n)
+    return left_kernel([_combine_cells(y, row, width, field) for row in view.cells[n]], field)
 
 
 def _kernel_source(view: AlgebraView, n: int):
@@ -596,8 +583,8 @@ def _scalar_from_json(field: FieldSpec, raw):
         raise DimensionMismatch(f"view entry {raw!r} is neither an int nor a string")
     try:
         return field(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DimensionMismatch(f"view entry {raw!r} is not a scalar") from exc
+    except (ValueError, ZeroDivisionError, UnsupportedField) as exc:
+        raise DimensionMismatch(f"view entry {raw!r} is not in {field.describe()}") from exc
 
 
 def _cell_to_json(cell) -> list:
@@ -607,34 +594,53 @@ def _cell_to_json(cell) -> list:
     return [_scalar_to_json(c) for c in cell]
 
 
-def _cell_from_json(field: FieldSpec, cell, zero: tuple) -> tuple:
-    """Over F_p a cell of ints is reduced whole, and a zero one is `zero`;
-    any other cell goes entry by entry, which raises on a bad entry."""
+def _cell_from_json(field: FieldSpec, cell) -> tuple:
+    """Over F_p a cell of ints is reduced whole; any other cell goes entry
+    by entry, which raises on a bad entry."""
     if field.p is not None and set(map(type, cell)) <= {int}:
-        return tuple([c % field.p for c in cell]) if any(cell) else zero
+        return tuple([c % field.p for c in cell])
     return tuple(_scalar_from_json(field, c) for c in cell)
 
 
 def view_to_json_dict(view: AlgebraView) -> dict:
-    tensors = {}
-    for n in range(2, view.top_level + 1):
-        tensors[str(n)] = [[_cell_to_json(cell) for cell in row] for row in view.tensors[n]]
+    """The view as JSON: per level n >= 2, the nonzero cells as entries
+    [i, j, cell] with (i, j) strictly increasing."""
+    cells = {
+        str(n): [[i, j, _cell_to_json(c)] for i, row in enumerate(view.cells[n]) for j, c in row]
+        for n in range(2, view.top_level + 1)
+    }
     return {
         "field": view.field.p,
         "level_dims": list(view.level_dims),
         "plain": view.plain,
-        "tensors": tensors,
+        "cells": cells,
     }
 
 
-def _is_tensor(rows, d: int, d_prev: int) -> bool:
-    """Whether rows is d lists of d_prev cells, each a list, all of one width."""
-    if not (isinstance(rows, list) and len(rows) == d):
-        return False
-    if not all(isinstance(row, list) and len(row) == d_prev for row in rows):
-        return False
-    cells = [cell for row in rows for cell in row]
-    return all(isinstance(c, list) for c in cells) and len({len(c) for c in cells}) <= 1
+def _level_from_json(field: FieldSpec, entries, n: int, dims: tuple) -> tuple:
+    """The rows of (j, cell) pairs that the JSON entries of level n
+    describe, without the cells that are zero in the field."""
+    if not isinstance(entries, list):
+        raise DimensionMismatch(f"level {n} cells are not a list")
+    d, d_prev = dims[n], dims[n - 1]
+    rows: list = [[] for _ in range(d)]
+    last, widths = (-1, -1), set()
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)):
+            raise DimensionMismatch(f"level {n} entry {entry!r} is not [i, j, cell]")
+        i, j, cell = entry
+        if not (type(i) is int and type(j) is int and 0 <= i < d and 0 <= j < d_prev):
+            raise DimensionMismatch(f"level {n} cell ({i!r}, {j!r}) is outside {d} x {d_prev}")
+        if (i, j) <= last:
+            raise DimensionMismatch(f"level {n} cell ({i}, {j}) is repeated or out of order")
+        last = (i, j)
+        widths.add(len(cell))
+        cell = _cell_from_json(field, cell)
+        if any(cell):
+            rows[i].append((j, cell))
+    if len(widths) > 1:
+        raise DimensionMismatch(f"level {n} has cells of widths {sorted(widths)}")
+    return tuple(map(tuple, rows))
 
 
 def view_from_json_dict(data: dict) -> AlgebraView:
@@ -642,6 +648,9 @@ def view_from_json_dict(data: dict) -> AlgebraView:
     shape raises DimensionMismatch."""
     if not isinstance(data, dict):
         raise DimensionMismatch("a view is a JSON object")
+    for key in ("field", "level_dims", "cells"):
+        if key not in data:
+            raise DimensionMismatch(f"view has no {key!r} key")
     field = FieldSpec(data["field"])
     if not _is_int_list(data["level_dims"]):
         raise DimensionMismatch(f"view level_dims {data['level_dims']!r} are not ints")
@@ -649,27 +658,12 @@ def view_from_json_dict(data: dict) -> AlgebraView:
     plain = data.get("plain", False)
     if not isinstance(plain, bool):
         raise DimensionMismatch(f"view plain flag {plain!r} is not true or false")
-    raw = data["tensors"]
+    raw = data["cells"]
     levels = [str(n) for n in range(2, len(dims))]
     if not isinstance(raw, dict) or set(raw) != set(levels):
-        raise DimensionMismatch(f"view tensors at levels {list(raw)}, expected {levels}")
-    tensors: list = [None, None]
-    for n in range(2, len(dims)):
-        rows = raw[str(n)]
-        if not _is_tensor(rows, dims[n], dims[n - 1]):
-            raise DimensionMismatch(
-                f"level {n} tensor is not {dims[n]} x {dims[n - 1]} cells of one width"
-            )
-        zero = (field.zero,) * next((len(cell) for row in rows for cell in row), 0)
-        tensors.append(
-            tuple(tuple(_cell_from_json(field, cell, zero) for cell in row) for row in rows)
-        )
-    return AlgebraView(
-        field=field,
-        level_dims=dims,
-        tensors=tuple(tensors),
-        plain=plain,
-    )
+        raise DimensionMismatch(f"view cells are not an object with keys {levels}")
+    cells = [_level_from_json(field, raw[str(n)], n, dims) for n in range(2, len(dims))]
+    return AlgebraView(field, dims, (None, None) + tuple(cells), plain)
 
 
 def reconstruction_report(

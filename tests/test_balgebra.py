@@ -76,6 +76,17 @@ def test_mixing_fields_raises(boolean3):
         FreeElement.word((V(1, 0),), F3) + FreeElement.word((V(1, 0),), GF(5))
 
 
+@pytest.mark.parametrize("raw", [1.5, "1/2"], ids=["float", "string"])
+def test_prime_fields_refuse_non_integral_values(boolean3, raw):
+    # 1.5 was truncated to 1 and "1/2" raised a bare ValueError
+    with pytest.raises(UnsupportedField, match="cannot coerce (3/2|1/2) into F_5"):
+        GF(5)(raw)
+    with pytest.raises(UnsupportedField):
+        element(boolean3, 1, [raw, 1, 2], GF(5))
+    # integral values of every type still coerce
+    assert [GF(5)(x) for x in (2.0, "7", Fraction(8, 4), -1)] == [2, 2, 2, 4]
+
+
 def test_relation_space_level_one_is_everything(boolean3):
     rel = relation_space(boolean3, 1)
     assert rel.dim == rel.ambient_dim == 3

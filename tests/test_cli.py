@@ -220,18 +220,23 @@ def _edited(data, path, value=None):
 @pytest.mark.parametrize(
     "kind, path, value",
     [
-        ("view", ("tensors", "9"), []),
-        ("view", ("tensors", "3"), None),
-        ("view", ("tensors", "2", 0, 2), None),
-        ("view", ("tensors", "2", 0, 0, 0), None),
-        ("view", ("tensors",), []),
+        ("view", ("cells", "9"), []),
+        ("view", ("cells", "3"), None),
+        ("view", ("cells", "2", 0, 2), None),
+        ("view", ("cells", "2", 0, 2, 0), None),
+        ("view", ("cells",), []),
         ("view", ("field",), "x"),
         ("view", ("level_dims",), 5),
-        ("view", ("tensors", "2", 0, 0, 0), [1]),
+        ("view", ("cells", "2", 0, 2, 0), [1]),
         ("view", (), [1, 2]),
         ("view", ("plain",), "false"),
-        ("qview", ("tensors", "2", 0, 0, 0), "1/0"),
-        ("qview", ("tensors", "2", 0, 0, 0), "one"),
+        ("qview", ("cells", "2", 0, 2, 0), "1/0"),
+        ("qview", ("cells", "2", 0, 2, 0), "one"),
+        ("view", ("cells", "2", 0, 2, 0), "1/2"),
+        ("view", ("cells",), None),
+        ("view", ("level_dims",), None),
+        ("view", ("cells", "2", 0, 0), 3),
+        ("view", ("cells", "2", 1, 1), 0),
         ("graph", ("edges", 0), [[1], [0, 0]]),
         ("graph", ("edges", 0), [[1, "a"], [0, 0]]),
         ("graph", ("levels",), 5),
@@ -250,7 +255,7 @@ def _edited(data, path, value=None):
         "view-level-missing",
         "view-ragged-rows",
         "view-ragged-cell",
-        "view-tensors-list",
+        "view-cells-list",
         "view-field-not-prime",
         "view-level-dims-not-a-list",
         "view-entry-not-a-scalar",
@@ -258,6 +263,11 @@ def _edited(data, path, value=None):
         "view-plain-not-a-bool",
         "view-rational-division-by-zero",
         "view-rational-not-a-number",
+        "view-entry-not-integral",
+        "view-cells-missing",
+        "view-level-dims-missing",
+        "view-index-out-of-range",
+        "view-cell-repeated-or-out-of-order",
         "graph-short-endpoint",
         "graph-string-index",
         "graph-levels-not-a-list",

@@ -65,6 +65,7 @@ from laga.reconstruct import (
     _peeled_vertex_rays,
     _right_mult_kernel,
     _scramble_maps,
+    _width,
 )
 
 F3 = GF(3)
@@ -72,6 +73,21 @@ F3 = GF(3)
 
 def _unit(d, i):
     return tuple(F3.one if j == i else F3.zero for j in range(d))
+
+
+def _dense(view, n):
+    """The level-n product of every pair of basis vectors, the zero ones
+    included, rebuilt from the stored cells."""
+    zero = (view.field.zero,) * _width(view, n)
+    dense = [[zero] * view.level_dims[n - 1] for _ in range(view.level_dims[n])]
+    for i, row in enumerate(view.cells[n]):
+        for j, cell in row:
+            dense[i][j] = cell
+    return dense
+
+
+def _cell_json(cell):
+    return [c if type(c) is int else str(c) for c in cell]
 
 
 def test_view_requires_uniform(nonuniform_graph):
@@ -87,14 +103,15 @@ def test_plain_view_shape(boolean3):
     scrambled = algebra_view(boolean3, scramble_seed=1)
     assert not scrambled.plain
     assert scrambled.level_dims == view.level_dims
-    t = scrambled.tensors[2]
+    t = _dense(scrambled, 2)
     expected = tuple((a + 2 * b) % 3 for a, b in zip(t[0][1], t[1][1]))
     assert scrambled.multiply(2, (1, 2, 0), (0, 1, 0)) == expected
 
 
-# sha256 of the JSON of algebra_view(graph, field, scramble_seed=seed),
-# recorded with the per-level relabel-and-rescale draw: a change to the
-# draw, or to the random stream it reads, changes these views
+# sha256 of the JSON of algebra_view(graph, field, scramble_seed=seed) in
+# the dense layout the views were pinned in, recorded with the per-level
+# relabel-and-rescale draw: a change to the draw, or to the random
+# stream it reads, changes these views
 _VIEW_DIGESTS = [
     (("boolean", 4), 3, 7, "f8aa55ba549f7cac"),
     (("boolean", 4), 5, 2, "1deaab5f8aae4faf"),
@@ -113,8 +130,16 @@ def _lattice(spec):
 
 @pytest.mark.parametrize("spec, p, seed, digest", _VIEW_DIGESTS)
 def test_scrambled_views_are_pinned(spec, p, seed, digest):
+    # the dense layout keeps every product of basis vectors as a cell
+    # under "tensors", ints as ints and rationals as strings
     view = algebra_view(_lattice(spec), GF(p) if p else QQ, scramble_seed=seed)
-    text = json.dumps(view_to_json_dict(view), sort_keys=True)
+    view = view_from_json_dict(json.loads(json.dumps(view_to_json_dict(view))))
+    data = {"field": view.field.p, "level_dims": list(view.level_dims), "plain": view.plain}
+    data["tensors"] = {
+        str(n): [[_cell_json(cell) for cell in row] for row in _dense(view, n)]
+        for n in range(2, view.top_level + 1)
+    }
+    text = json.dumps(data, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
@@ -136,7 +161,7 @@ def test_scramble_is_a_real_change_of_basis(spec, p, seed):
     scrambled = algebra_view(g, field, scramble_seed=seed)
 
     def relations(view, n):
-        return left_kernel([cell for row in view.tensors[n] for cell in row], field)
+        return left_kernel([cell for row in _dense(view, n) for cell in row], field)
 
     assert any(
         not relations(scrambled, n).contains_subspace(relations(plain, n))
@@ -170,7 +195,7 @@ def test_kappa_view_matches_combinatorial_on_plain(boolean3):
     ],
 )
 def test_view_kernels_are_the_unit_vector_products(spec, p, seed):
-    # the kernels read their rows straight off the tensors; the reference
+    # the kernels read their rows straight off the stored cells; the reference
     # builds each row with one `multiply` per unit vector.  Random x and y
     # mostly give trivial kernels, so vertex vectors (the unit vectors of
     # a plain view) and their kappas are tried too.
@@ -443,7 +468,7 @@ def test_outdegree_multisets(boolean3, nested_graph):
 
 def test_level_one_has_no_upper_basis():
     # level 1 multiplies into nothing, so the range check stops it before
-    # the right-multiplication kernel looks for a level-1 tensor
+    # the right-multiplication kernel looks for level-1 cells
     view = algebra_view(build_boolean(3), F3, scramble_seed=1)
     for query in (upper_vertex_like_basis, outdegree_multiset):
         with pytest.raises(LevelMismatch, match="level 1 outside 2..3"):
@@ -475,6 +500,17 @@ def test_nonnesting_recovers_upper_part(boolean4):
 def test_nonnesting_rejects_nested_views(nested_graph):
     with pytest.raises(NonNestingViolated):
         reconstruct_nonnesting(algebra_view(nested_graph))
+
+
+def test_nonnesting_rejects_a_vertex_with_one_successor():
+    # uniform, but the level-2 vertex covers one vertex, so its degree-2
+    # component is zero: the view stores no cell there
+    g = build_graph([1, 2, 1], [((1, 0), (0, 0)), ((1, 1), (0, 0)), ((2, 0), (1, 0))])
+    for seed in (None, 1):
+        view = algebra_view(g, F3, scramble_seed=seed)
+        assert view.cells[2] == ((),)
+        with pytest.raises(NonNestingViolated, match="level 2 vector 0 has successor count <= 1"):
+            reconstruct_nonnesting(view)
 
 
 def test_boolean_reconstruction_over_seeds(boolean3):
@@ -524,13 +560,11 @@ def _random_basis_view(g, field, seed):
     drawn level by level from one seeded stream."""
     rng = random.Random(seed)
     maps = {n: _random_invertible(g.levels[n], field, rng) for n in range(1, g.top_level + 1)}
-    tensors = [None, None] + [
-        tuple(
-            tuple(degree2_product(g, n, x, y, field) for y in maps[n - 1]) for x in maps[n]
-        )
-        for n in range(2, g.top_level + 1)
-    ]
-    return AlgebraView(field, (0,) + g.levels[1:], tuple(tensors))
+    cells = [None, None]
+    for n in range(2, g.top_level + 1):
+        products = [[degree2_product(g, n, x, y, field) for y in maps[n - 1]] for x in maps[n]]
+        cells.append(tuple(tuple((j, c) for j, c in enumerate(row) if any(c)) for row in products))
+    return AlgebraView(field, (0,) + g.levels[1:], tuple(cells))
 
 
 @pytest.mark.parametrize("n, p, seed", [(6, 3, 1), (6, 5, 3), (6, 7, 3), (7, 3, 1)])
@@ -592,14 +626,14 @@ def test_recovery_ignores_the_output_basis(spec, p, seed, change):
     graph, field = _lattice(spec), GF(p)
     view = algebra_view(graph, field, scramble_seed=seed)
     rng = random.Random(change)
-    tensors = list(view.tensors)
+    cells = list(view.cells)
     for n in range(2, view.top_level + 1):
-        mat = _random_invertible(len(view.tensors[n][0][0]), field, rng)
-        tensors[n] = tuple(
-            tuple(tuple(field.combine(cell, mat)) for cell in row) for row in view.tensors[n]
+        mat = _random_invertible(_width(view, n), field, rng)
+        cells[n] = tuple(
+            tuple((j, tuple(field.combine(cell, mat))) for j, cell in row) for row in view.cells[n]
         )
-    moved = AlgebraView(field, view.level_dims, tuple(tensors))
-    assert moved.tensors != view.tensors
+    moved = AlgebraView(field, view.level_dims, tuple(cells))
+    assert moved.cells != view.cells
     for n in range(2, view.top_level + 1):
         assert upper_vertex_like_basis(moved, n) == upper_vertex_like_basis(view, n)
     family, *params = spec
@@ -639,11 +673,32 @@ def test_view_json_round_trip(boolean3):
         assert again == view
 
 
+def test_view_json_holds_only_nonzero_cells_in_order(boolean3):
+    # a cell that is zero in the field is dropped on read as well
+    for field in (F3, QQ):
+        data = view_to_json_dict(algebra_view(boolean3, field, scramble_seed=1))
+        for entries in data["cells"].values():
+            assert all(any(c not in (0, "0") for c in cell) for _, _, cell in entries)
+            assert [(i, j) for i, j, _ in entries] == sorted({(i, j) for i, j, _ in entries})
+        view = view_from_json_dict(data)
+        # every product written, the zero ones as 3 (F_3) or "0/5" (Q)
+        zero = 3 if field == F3 else "0/5"
+        data["cells"] = {
+            str(n): [
+                [i, j, _cell_json(cell) if any(cell) else [zero] * len(cell)]
+                for i, row in enumerate(_dense(view, n))
+                for j, cell in enumerate(row)
+            ]
+            for n in (2, 3)
+        }
+        assert view_from_json_dict(data) == view
+
+
 def test_view_with_a_ragged_cell_is_a_shape_error(boolean3):
     # not a NonNestingViolated from the recovery it would otherwise reach
     data = view_to_json_dict(algebra_view(boolean3, scramble_seed=1))
-    data["tensors"]["2"][0][0].pop()
-    with pytest.raises(DimensionMismatch, match="cells of one width"):
+    data["cells"]["2"][0][2].pop()
+    with pytest.raises(DimensionMismatch, match="level 2 has cells of widths"):
         view_from_json_dict(data)
 
 
@@ -651,9 +706,48 @@ def test_view_with_a_ragged_cell_is_a_shape_error(boolean3):
 def test_view_entries_that_are_not_scalars_are_shape_errors(boolean3, entry):
     # a cell of ints is read whole; any other cell is read entry by entry
     data = view_to_json_dict(algebra_view(boolean3, GF(5), scramble_seed=1))
-    data["tensors"]["2"][0][0][0] = entry
+    data["cells"]["2"][0][2][0] = entry
     with pytest.raises(DimensionMismatch, match="neither an int nor a string"):
         view_from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cells: cells["2"].append([3, 0, [1, 1, 1]]), r"cell \(3, 0\) is outside 3 x 3"),
+        (lambda cells: cells["2"][0].__setitem__(1, -1), r"cell \(0, -1\) is outside 3 x 3"),
+        (lambda cells: cells["2"][0].__setitem__(0, "0"), r"cell \('0', .*\) is outside"),
+        (lambda cells: cells["2"].append(cells["2"][-1]), "repeated or out of order"),
+        (lambda cells: cells["2"].reverse(), "repeated or out of order"),
+        (lambda cells: cells["2"].append([2, 2]), r"entry \[2, 2\] is not \[i, j, cell\]"),
+        (lambda cells: cells["2"].append([2, 2, 1]), r"is not \[i, j, cell\]"),
+        (lambda cells: cells.__setitem__("2", {}), "level 2 cells are not a list"),
+    ],
+    ids=["row-out-of-range", "column-negative", "index-a-string", "repeated", "out-of-order",
+         "short-entry", "cell-not-a-list", "level-not-a-list"],
+)
+def test_view_cells_out_of_place_are_shape_errors(boolean3, edit, message):
+    data = view_to_json_dict(algebra_view(boolean3, scramble_seed=1))
+    edit(data["cells"])
+    with pytest.raises(DimensionMismatch, match=message):
+        view_from_json_dict(data)
+
+
+@pytest.mark.parametrize("key", ["field", "level_dims", "cells"])
+def test_view_without_a_key_names_it(boolean3, key):
+    data = view_to_json_dict(algebra_view(boolean3, scramble_seed=1))
+    del data[key]
+    with pytest.raises(DimensionMismatch, match=f"view has no '{key}' key"):
+        view_from_json_dict(data)
+
+
+def test_dense_view_layout_is_not_read(boolean3):
+    view = algebra_view(boolean3, scramble_seed=1)
+    data = view_to_json_dict(view)
+    data["tensors"] = {"2": _dense(view, 2), "3": _dense(view, 3)}
+    del data["cells"]
+    with pytest.raises(DimensionMismatch, match="view has no 'cells' key"):
+        view_from_json_dict(json.loads(json.dumps(data)))
 
 
 def test_views_are_not_kept_alive_by_caches(boolean4):
@@ -667,13 +761,12 @@ def test_views_are_not_kept_alive_by_caches(boolean4):
 
 def test_exhaustive_scan_keeps_no_kernel_per_ray(nested_graph):
     # the scan asks for the kernel of every ray of the level; only the
-    # nonzero cells and the upper basis of each level may stay on the view
+    # upper basis of each level may stay on the view
     view = algebra_view(nested_graph, GF(5))
     _exhaustive_scan(view, 2)
-    cells = (laga.reconstruct._level_cells.__wrapped__, 2)
-    assert list(view._cache) == [cells]
+    assert list(view._cache) == []
     upper_vertex_like_basis(view, 2)
-    assert list(view._cache) == [cells, (laga.reconstruct._upper_basis.__wrapped__, 2)]
+    assert list(view._cache) == [(laga.reconstruct._upper_basis.__wrapped__, 2)]
 
 
 def test_graphs_are_not_kept_alive_by_caches():
@@ -842,6 +935,8 @@ def test_reconstruction_report(boolean3):
     }
     nn = reconstruction_report(view, "nonnesting", reference=boolean3)
     assert nn["certified"] is True
+    with pytest.raises(ReconstructionFailed, match="output does not match the reference graph"):
+        reconstruction_report(view, "nonnesting", reference=build_boolean(4))
     with pytest.raises(ReconstructionFailed):
         reconstruction_report(view, "mystery")
     with pytest.raises(ReconstructionFailed, match="boolean recovery needs the rank n"):
