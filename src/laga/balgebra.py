@@ -101,13 +101,8 @@ def relation_space(g: LayeredGraph, n: int, field: FieldSpec = QQ) -> Subspace:
         row_base = v.index * width
         for w in g.level_vertices(n - 1):
             if w not in sv:
-                vec = [field.zero] * cols
-                vec[row_base + w.index] = field.one
-                gens.append(vec)
-        vec = [field.zero] * cols
-        for w in sv:
-            vec[row_base + w.index] = field.one
-        gens.append(vec)
+                gens.append({row_base + w.index: field.one})
+        gens.append({row_base + w.index: field.one for w in sv})
     return span(gens, cols, field)
 
 
@@ -122,11 +117,8 @@ def gr_quadratic_space(g: LayeredGraph, n: int, field: FieldSpec = QQ) -> Subspa
     gens = []
     for v in g.level_vertices(n):
         sv = g.succ(v)
-        for u in sv[1:]:
-            vec = [field.zero] * cols
-            vec[v.index * width + sv[0].index] = field.one
-            vec[v.index * width + u.index] = field(-1)
-            gens.append(vec)
+        base = v.index * width
+        gens += ({base + sv[0].index: field.one, base + u.index: field(-1)} for u in sv[1:])
     return span(gens, cols, field)
 
 
@@ -173,11 +165,7 @@ def component(g: LayeredGraph, m: int, n: int, field: FieldSpec = QQ) -> Bigrade
         groups: dict[Word, list] = {}
         for i, p in enumerate(paths):
             groups.setdefault(p[:j] + p[j + 1 :], []).append(i)
-        for cols in groups.values():
-            row = [field.zero] * len(paths)
-            for c in cols:
-                row[c] = field.one
-            gens.append(row)
+        gens += ({c: field.one for c in cols} for cols in groups.values())
     relations = span(gens, len(paths), field)
     pivots = set(relations.pivots)
     free_cols = tuple(c for c in range(len(paths)) if c not in pivots)
@@ -215,14 +203,8 @@ def kappa_combinatorial(g: LayeredGraph, vertex_set, *, field: FieldSpec = QQ) -
     by their least vertex, so their sums already are the canonical
     basis, with pivots at those vertices."""
     part = _set_partition(g, vertex_set)
-    width = g.levels[part.ground_level]
-    basis = []
-    for cls in part.classes:
-        vec = [field.zero] * width
-        for w in cls:
-            vec[w.index] = field.one
-        basis.append(tuple(vec))
-    return Subspace(field, width, tuple(basis), tuple(cls[0].index for cls in part.classes))
+    rows = (tuple(sorted((w.index, field.one) for w in cls)) for cls in part.classes)
+    return Subspace(field, g.levels[part.ground_level], tuple(rows))
 
 
 def _check_kappa_element(g: LayeredGraph, a: BElement) -> None:
@@ -265,17 +247,24 @@ def degree2_product(g: LayeredGraph, n: int, x, y, field: FieldSpec = QQ) -> tup
         )
     if n == 1:
         return ()
-    x = field.vector(x)
-    y = field.vector(y)
-    blocks, width = _product_blocks(g, n)
-    out = [field.zero] * width
-    for a, (start, succ) in zip(x, blocks):
+    out = [field.zero] * _product_blocks(g, n)[1]
+    for k, c in _product_entries(g, n, enumerate(field.vector(x)), field.vector(y), field):
+        out[k] = c
+    return tuple(out)
+
+
+def _product_entries(g: LayeredGraph, n: int, x_entries, y, field: FieldSpec):
+    """The nonzero entries (column, value) of `degree2_product`, for x given
+    as (index, value) pairs, in column order when those come in index
+    order, and y dense; both in the field."""
+    blocks = _product_blocks(g, n)[0]
+    for v, a in x_entries:
+        start, succ = blocks[v]
         if a and len(succ) > 1:
             y0 = y[succ[0]]
             for k, s in enumerate(succ[1:], start):
                 if y[s] != y0:
-                    out[k] = field(a * (y[s] - y0))
-    return tuple(out)
+                    yield k, field(a * (y[s] - y0))
 
 
 @memo

@@ -5,14 +5,15 @@ A rational scalar is a `fractions.Fraction`; an F_p scalar is a plain
 computation names its `FieldSpec`, and containers that hold scalars
 (subspaces, elements, views) compare their `.field` before mixing.
 
-`FieldSpec` coerces a value (or with `vector`, a row) into its field and
-supplies the row-level operations the linear algebra is written in:
-`inv`, `scale`, `axpy`, `dot` and `combine` (a row vector times a
-matrix, the one product of every kernel and level map).  Over F_p each
-reduces modulo p once per entry; over Q it is the same expression
-without the reduction, so `laga.linalg` has one code path for both
-fields.  Over Q, `vector` passes a `Fraction` entry through unchanged
-(Fractions are immutable, so rows may share them) and coerces the rest.
+`FieldSpec` coerces a value, or with `vector` a dense row, into its
+field.  `laga.linalg` keeps a row as a dict {column: nonzero value}:
+`entries` makes one from a dense row or a mapping, and `subtract` and
+`scale` change one in place.  The dense `axpy`, `dot` and `combine` (a
+row vector times a matrix) serve elements, views and test references.
+Over F_p each operation reduces modulo p once per entry; over Q it is
+the same expression without the reduction, so callers have one code
+path for both fields.  Over Q, `vector` and `entries` pass a `Fraction`
+through unchanged (Fractions are immutable, so rows may share them).
 """
 
 from __future__ import annotations
@@ -91,16 +92,33 @@ class FieldSpec:
             return 1 / Fraction(a)
         return pow(a, p - 2, p)
 
-    # Over Q the zero test skips a Fraction operation per zero entry,
-    # which is most of them in the sparse relation matrices; over F_p
-    # the test costs as much as the int arithmetic it would save.
+    def entries(self, xs) -> dict:
+        """The nonzero entries of a dense row, or of a {column: value}
+        mapping, as {column: value} coerced into this field."""
+        items = xs.items() if isinstance(xs, dict) else enumerate(xs)
+        if (p := self.p) is None:
+            return {c: y for c, x in items if x and (y := x if type(x) is Fraction else self(x))}
+        return {c: y for c, x in items if x and (y := x % p if type(x) is int else self(x))}
 
-    def scale(self, row, c) -> list:
-        """c * row."""
+    def subtract(self, v: dict, f, row) -> None:
+        """v -= f * row on entry dicts, in place, dropping the entries
+        that cancel; row may also be given as its (column, value) pairs.
+        f is nonzero and may be any integer over F_p."""
+        p, get = self.p, v.get
+        for k, b in row.items() if isinstance(row, dict) else row:
+            if x := get(k, 0) - f * b if p is None else (get(k, 0) - f * b) % p:
+                v[k] = x
+            else:
+                del v[k]
+
+    def scale(self, v: dict, c) -> None:
+        """c * v on an entry dict, in place; c is nonzero."""
         p = self.p
-        if p is None:
-            return [c * x if x else x for x in row]
-        return [c * x % p for x in row]
+        for k, x in v.items():
+            v[k] = c * x if p is None else c * x % p
+
+    # Over Q the dense zero test skips a Fraction operation per zero entry;
+    # over F_p the test costs as much as the int arithmetic it would save.
 
     def axpy(self, row, f, other) -> list:
         """row - f * other; f may be any integer over F_p."""

@@ -1,18 +1,21 @@
-"""Dense exact linear algebra over Q and F_p.
+"""Sparse exact linear algebra over Q and F_p.
 
-Everything is row-oriented: a matrix is a list of rows, a row a list of
-scalars from `laga.fields` (`Fraction` over Q, an int in [0, p) over
-F_p).  Row arithmetic goes through the `FieldSpec` operations, so one
-code path serves both fields.  Subspaces are kept in canonical reduced
-row echelon form, so equality of subspaces is equality of tuples and
-canonical forms can be used as dictionary keys.  Each subspace carries
-the pivot columns of its basis rows, so reducing a vector against it
-never searches a row for its pivot.  A left kernel is read off one
-rref of the live block of [M | I], the nonzero rows of M cut to its
-nonzero columns, with the unit vector of each zero row of M merged in
-by pivot; an intersection off one rref of [residual | x] over the basis
-rows x of the smaller space, each reduced against the larger.  In both,
-the rows that vanish on the left block are already the canonical basis.
+A row is kept as its nonzero entries: while it is worked on, a dict
+{column: value} in the field (`Fraction` over Q, an int in [0, p) over
+F_p), changed in place through `FieldSpec`, so one code path serves both
+fields.  A `Subspace` stores its canonical reduced row echelon basis,
+each row a tuple of (column, value) pairs in column order, so equality
+of subspaces is equality of tuples and `key()` is a dictionary key.
+
+Every reduction runs on an echelon: a dict from pivot column to a row
+(an entry dict, or a subspace's pairs) with a 1 there and a 0 at every
+other pivot.  A vector reduces in one pass over its own entries at
+pivots, and a new row joins by clearing its pivot from the others, so
+the work is the nonzeros touched.  A left kernel is read off the
+echelon of [M | I]; an intersection off the left kernel of the
+residuals of one basis against the other.  Dense rows, as `rref`,
+`kernel`, `reduce_vector` and `Subspace.basis` take or give them, are
+converted at the edge.
 """
 
 from __future__ import annotations
@@ -45,80 +48,172 @@ def _within_budget(count: int, what: str, budget: int | None = None) -> None:
 
 
 def rref(rows: Sequence[Sequence], field: FieldSpec):
-    """Reduced row echelon form.
-
-    Returns (rows, pivot_columns); zero rows are dropped, so the row
-    count equals the rank.  Rows of different lengths raise
-    `AmbientMismatch`.
-    """
-    m = [field.vector(row) for row in rows]
-    if len({len(row) for row in m}) > 1:
-        raise AmbientMismatch(f"ragged matrix: row lengths {sorted({len(r) for r in m})}")
-    return _rref(m, field)
-
-
-def _rref(m: list, field: FieldSpec):
-    """`rref` of rows already in the field and of one length, in place."""
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pivot_row = m[r] = field.scale(m[r], field.inv(m[r][c]))
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                m[i] = field.axpy(m[i], m[i][c], pivot_row)
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    """Reduced row echelon form of dense rows: (rows, pivot_columns),
+    the rows dense and as many as the rank.  Rows of different lengths
+    raise `AmbientMismatch`."""
+    lengths = {len(row) for row in rows}
+    if len(lengths) > 1:
+        raise AmbientMismatch(f"ragged matrix: row lengths {sorted(lengths)}")
+    echelon: dict = {}
+    _extend_echelon(echelon, [field.entries(row) for row in rows], field)
+    pivots = sorted(echelon)
+    width = lengths.pop() if lengths else 0
+    return [_dense(echelon[c].items(), width, field) for c in pivots], pivots
 
 
 def rank(rows: Sequence[Sequence], field: FieldSpec) -> int:
     return len(rref(rows, field)[0])
 
 
+def _dense(entries, width: int, field: FieldSpec) -> list:
+    """The dense row of width `width` with the given (column, value) pairs."""
+    row = [field.zero] * width
+    for k, x in entries:
+        row[k] = x
+    return row
+
+
+def _reduce(v: dict, echelon: dict, field: FieldSpec) -> dict:
+    """v minus its combination of the echelon rows at v's pivot entries,
+    in place.  Each row is zero at the other pivots, so one pass clears
+    them all."""
+    if echelon:
+        for c in [c for c in v if c in echelon]:
+            field.subtract(v, v[c], echelon[c])
+    return v
+
+
+def _join(v: dict, c: int, echelon: dict, field: FieldSpec) -> None:
+    """Add v, reduced against the echelon and led by column c, as the row
+    of pivot c: scaled to a 1 there, and cleared from the other rows."""
+    if (a := v[c]) != 1:
+        field.scale(v, field.inv(a))
+    for row in echelon.values():
+        if f := row.get(c):
+            field.subtract(row, f, v)
+    echelon[c] = v
+
+
+def _extend_echelon(echelon: dict, new, field: FieldSpec) -> int:
+    """Add each new entry dict (consumed) to an echelon kept in reduced
+    form; returns the new rank."""
+    for v in new:
+        if _reduce(v, echelon, field):
+            _join(v, min(v), echelon, field)
+    return len(echelon)
+
+
+def _residual(row: tuple, echelon: dict, field: FieldSpec) -> dict:
+    """A subspace row minus its combination of the echelon rows; nothing
+    is left of a row the echelon holds as it is."""
+    return {} if echelon.get(row[0][0]) == row else _reduce(dict(row), echelon, field)
+
+
+def _holds(echelon: dict, space: "Subspace", field: FieldSpec) -> bool:
+    """Whether every basis row of `space` lies in the echelon's span.  A
+    row in the span is led by one of its pivots."""
+    return all(
+        row[0][0] in echelon and not _residual(row, echelon, field) for row in space.rows
+    )
+
+
+def _kernel_rows(m: list, field: FieldSpec) -> tuple:
+    """The canonical basis rows of {x : x M = 0}, M given as entry dicts
+    in the field (consumed).
+
+    Each nonzero row i of M gets the unit entry at column n + i, n past
+    the last column of M.  In the echelon of these rows, those led before
+    n are kept reduced at each other's pivots, those led from n on among
+    themselves: a row that vanishes on M then ends reduced against both,
+    so the rows led from n on are the kernel's canonical rows.  A zero
+    row of M adds its unit vector, which no other row touches, without a
+    reduction."""
+    n = max((max(v) + 1 for v in m if v), default=0)
+    one = field.one
+    left, right = {}, {}
+    for i, v in enumerate(m):
+        if not v:
+            continue
+        v[n + i] = one
+        _reduce(v, left, field)
+        if (c := min(v)) < n:
+            _join(v, c, left, field)
+        elif _reduce(v, right, field):
+            _join(v, min(v), right, field)
+    found = {c - n: tuple([(k - n, x) for k, x in sorted(v.items())]) for c, v in right.items()}
+    # the rows of M still empty are its zero rows
+    return tuple(found[i] if v else ((i, one),) for i, v in enumerate(m) if not v or i in found)
+
+
+def _combination(coeffs, rows: tuple, field: FieldSpec) -> tuple:
+    """sum c * rows[i] over the (i, c) pairs of a canonical row, as pairs
+    in column order."""
+    if len(coeffs) == 1:
+        return rows[coeffs[0][0]]  # led by a 1
+    acc: dict = {}
+    for i, c in coeffs:
+        for k, x in rows[i]:
+            acc[k] = acc.get(k, 0) + c * x
+    return tuple(sorted(field.entries(acc).items()))
+
+
 @dataclasses.dataclass(frozen=True)
 class Subspace:
-    """A subspace of field^ambient_dim in canonical RREF basis form."""
+    """A subspace of field^ambient_dim in canonical RREF basis form, each
+    basis row its nonzero (column, value) pairs in column order, led by
+    a 1 at its pivot."""
 
     field: FieldSpec
     ambient_dim: int
-    basis: tuple  # tuple of row tuples, RREF, no zero rows
-    # the pivot column of each basis row; the basis determines it
-    pivots: tuple = dataclasses.field(compare=False, repr=False)
+    rows: tuple
+    # the rows keyed by pivot, once a reduction needs them
+    _by_pivot: dict | None = dataclasses.field(
+        default=None, init=False, compare=False, hash=False, repr=False
+    )
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def pivots(self) -> tuple:
+        return tuple(row[0][0] for row in self.rows)
+
+    @property
+    def basis(self) -> tuple:
+        """The basis rows as dense tuples, for callers that print them."""
+        return tuple(tuple(_dense(row, self.ambient_dim, self.field)) for row in self.rows)
+
+    @property
+    def _echelon(self) -> dict:
+        if self._by_pivot is None:
+            object.__setattr__(self, "_by_pivot", {row[0][0]: row for row in self.rows})
+        return self._by_pivot
 
     def contains_vector(self, vector) -> bool:
-        return not any(reduce_vector(vector, self))
+        """Whether a dense vector or entry dict lies in the subspace."""
+        return not _reduce(self.field.entries(vector), self._echelon, self.field)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return not any(any(_residual(x, self.pivots, self.basis, self.field)) for x in other.basis)
+        return other.dim <= self.dim and _holds(self._echelon, other, self.field)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """rref [r(x) | x] over the basis rows x of the smaller space,
-        r(x) the residual of x against the larger: a combination of the x
-        lies in the larger space exactly when its residuals cancel, so
-        the rows with zero left block carry the intersection."""
+        """A combination sum a_i x_i of the basis rows of the smaller space
+        lies in the larger exactly when the residuals r(x_i) against the
+        larger cancel, so a runs over the left kernel of the residuals.
+        Each x_i is 1 at its pivot and 0 at the other pivots, so the
+        kernel's canonical rows map to the intersection's."""
         self._check_compatible(other)
         small, large = sorted((self, other), key=lambda s: s.dim)
-        n = self.ambient_dim
-        stacked = [[*_residual(x, large.pivots, large.basis, self.field), *x] for x in small.basis]
-        return _right_block(*_rref(stacked, self.field), n, n, self.field)
+        field = self.field
+        residuals = [_residual(row, large._echelon, field) for row in small.rows]
+        rows = (_combination(a, small.rows, field) for a in _kernel_rows(residuals, field))
+        return Subspace(field, self.ambient_dim, tuple(rows))
 
     def add(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return span(list(self.basis) + list(other.basis), self.ambient_dim, self.field)
+        return span([dict(row) for row in self.rows + other.rows], self.ambient_dim, self.field)
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -129,27 +224,22 @@ class Subspace:
 
     def key(self):
         """Hashable canonical key (suitable for multiset comparison)."""
-        return (self.ambient_dim, self.basis)
+        return (self.ambient_dim, self.rows)
 
 
-def span(vectors: Sequence[Sequence], ambient_dim: int, field: FieldSpec) -> Subspace:
+def span(vectors, ambient_dim: int, field: FieldSpec) -> Subspace:
+    """The span of dense vectors of length ambient_dim, or of entry dicts
+    with columns in range."""
+    echelon: dict = {}
     for v in vectors:
-        if len(v) != ambient_dim:
+        if isinstance(v, dict):
+            if any(not 0 <= c < ambient_dim for c in v):
+                raise AmbientMismatch(f"columns {sorted(v)} outside ambient {ambient_dim}")
+        elif len(v) != ambient_dim:
             raise AmbientMismatch(f"vector length {len(v)} != ambient {ambient_dim}")
-    reduced, pivots = rref(vectors, field)
-    return Subspace(field, ambient_dim, tuple(tuple(row) for row in reduced), tuple(pivots))
-
-
-def _right_block(reduced, pivots, n: int, width: int, field: FieldSpec) -> Subspace:
-    """The span of the rows of rref [A | B], A n columns wide, that vanish
-    on A, cut to B (width columns).
-
-    These are the rows with pivot at or after column n.  Cut to B they
-    keep their leading 1s in increasing columns, and each pivot column is
-    zero in every other row, so they already are the canonical basis."""
-    first = next((i for i, c in enumerate(pivots) if c >= n), len(pivots))
-    basis = tuple(tuple(row[n:]) for row in reduced[first:])
-    return Subspace(field, width, basis, tuple(c - n for c in pivots[first:]))
+        _extend_echelon(echelon, [field.entries(v)], field)
+    rows = (tuple(sorted(echelon[c].items())) for c in sorted(echelon))
+    return Subspace(field, ambient_dim, tuple(rows))
 
 
 def identity(d: int, field: FieldSpec) -> list[list]:
@@ -159,39 +249,19 @@ def identity(d: int, field: FieldSpec) -> list[list]:
 
 
 def full_space(ambient_dim: int, field: FieldSpec) -> Subspace:
-    eye = tuple(tuple(r) for r in identity(ambient_dim, field))
-    return Subspace(field, ambient_dim, eye, tuple(range(ambient_dim)))
+    return Subspace(field, ambient_dim, tuple(((i, field.one),) for i in range(ambient_dim)))
 
 
 def zero_space(ambient_dim: int, field: FieldSpec) -> Subspace:
-    return Subspace(field, ambient_dim, (), ())
+    return Subspace(field, ambient_dim, ())
 
 
-def reduce_vector(vector, space: Subspace):
-    """Subtract the projection onto a subspace's RREF basis; exact
-    residual."""
-    return _residual(space.field.vector(vector), space.pivots, space.basis, space.field)
-
-
-def _residual(v, pivots, rows, field: FieldSpec):
-    """v, already in the field, minus its combination of rows, each with a
-    1 at its pivot and 0 at the pivots before it, as in an RREF basis."""
-    for c, row in zip(pivots, rows):
-        if v[c]:
-            v = field.axpy(v, v[c], row)
-    return v
-
-
-def _extend_echelon(pivots: list, rows: list, new, field: FieldSpec) -> int:
-    """Append to the echelon (pivots, rows) of `_residual` each new row's
-    nonzero residual, scaled to a leading 1; returns the new rank."""
-    for x in new:
-        v = _residual(x, pivots, rows, field)
-        c = next((i for i, a in enumerate(v) if a), None)
-        if c is not None:
-            pivots.append(c)
-            rows.append(field.scale(v, field.inv(v[c])))
-    return len(rows)
+def reduce_vector(vector, space: Subspace) -> list:
+    """A dense vector minus its projection onto a subspace's RREF basis;
+    the exact residual, dense."""
+    field = space.field
+    residual = _reduce(field.entries(vector), space._echelon, field)
+    return _dense(residual.items(), len(vector), field)
 
 
 def kernel(rows: Sequence[Sequence], ncols: int, field: FieldSpec) -> Subspace:
@@ -204,33 +274,12 @@ def kernel(rows: Sequence[Sequence], ncols: int, field: FieldSpec) -> Subspace:
     return left_kernel(transpose(rows), field)
 
 
-def left_kernel(rows: Sequence[Sequence], field: FieldSpec) -> Subspace:
-    """{x : x M = 0} for M given as a list of rows.
-
-    Only the live block of [M | I] is reduced: the nonzero rows of M, cut
-    to its nonzero columns.  Each zero row of M then adds its unit
-    vector, which no other basis row touches, in pivot order."""
-    if len({len(row) for row in rows}) > 1:
-        raise AmbientMismatch(f"ragged matrix: row lengths {sorted({len(r) for r in rows})}")
-    # a row of falsy entries is zero in any field; a live row that is
-    # zero only modulo p reduces to zero in the rref
-    live = [i for i, row in enumerate(rows) if any(row)]
-    cols = [col for col in zip(*(field.vector(rows[i]) for i in live)) if any(col)]
-    block = zip(*cols) if cols else [()] * len(live)
-    stacked = [[*row, *unit] for row, unit in zip(block, identity(len(live), field))]
-    space = _right_block(*_rref(stacked, field), len(cols), len(live), field)
-    # the kernel row with pivot i, as (index, entry) pairs
-    found = {live[c]: zip(live, row) for c, row in zip(space.pivots, space.basis)}
-    for i in set(range(len(rows))).difference(live):
-        found[i] = ((i, field.one),)
-    zero = [field.zero] * len(rows)
-    basis = []
-    for i in sorted(found):
-        vec = zero.copy()
-        for j, x in found[i]:
-            vec[j] = x
-        basis.append(tuple(vec))
-    return Subspace(field, len(rows), tuple(basis), tuple(sorted(found)))
+def left_kernel(rows, field: FieldSpec) -> Subspace:
+    """{x : x M = 0} for M given as a list of rows, dense or entry dicts."""
+    lengths = {len(row) for row in rows if not isinstance(row, dict)}
+    if len(lengths) > 1:
+        raise AmbientMismatch(f"ragged matrix: row lengths {sorted(lengths)}")
+    return Subspace(field, len(rows), _kernel_rows([field.entries(row) for row in rows], field))
 
 
 def transpose(rows: Sequence[Sequence]) -> list[list]:

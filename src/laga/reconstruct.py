@@ -29,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .balgebra import BElement, degree2_product
+from .balgebra import BElement, _product_blocks, _product_entries
 from .errors import (
     DimensionMismatch,
     LevelMismatch,
@@ -54,12 +54,14 @@ from .graphs import (
 )
 from .linalg import (
     Subspace,
+    _dense,
     _extend_echelon,
+    _holds,
+    _reduce,
     enumerate_rays,
     full_space,
     identity,
     left_kernel,
-    span,
     zero_space,
 )
 
@@ -90,14 +92,17 @@ class AlgebraView:
     level_dims[n] is the dimension of the degree-(1, n) component
     (entry 0 is always 0).  For n >= 2, cells[n][i] holds the pairs
     (j, cell), j ascending, where the product of level-n basis vector i
-    with level-(n-1) basis vector j is nonzero, with its quotient
-    coordinates as the cell; every other product is zero.
+    with level-(n-1) basis vector j is nonzero, with the nonzero entries
+    of its quotient coordinates as the cell: (k, value) pairs, k
+    ascending.  Every other product is zero.  widths[n] is the number of
+    quotient coordinates, 0 where level n stores no cell.
     Reconstruction code may consult nothing else.
     """
 
     field: FieldSpec
     level_dims: tuple[int, ...]
     cells: tuple
+    widths: tuple[int, ...]
     plain: bool = False
     # the upper basis of each level, once computed (see `memo`)
     _cache: dict = dataclasses.field(
@@ -110,15 +115,16 @@ class AlgebraView:
 
     def multiply(self, n: int, x, y) -> tuple:
         """Bilinear product of a level-n vector and a level-(n-1) vector,
-        as one `FieldSpec.combine` over every stored cell (i, j) weighted
-        by x_i * y_j.  The view kernels group the cells by row or column;
-        this is the reference the tests hold them to."""
+        as one `FieldSpec.combine` over every stored cell (i, j), made
+        dense, weighted by x_i * y_j.  The view kernels group the cells by
+        row or column; this is the reference the tests hold them to."""
         if n < 2 or n > self.top_level:
             return ()
-        field = self.field
+        field, width = self.field, self.widths[n]
         x, y = field.vector(x), field.vector(y)
         pairs = [(x[i] * y[j], cell) for i, row in enumerate(self.cells[n]) for j, cell in row]
-        return tuple(field.combine([c for c, _ in pairs], [cell for _, cell in pairs]))
+        cells = [_dense(cell, width, field) for _, cell in pairs]
+        return tuple(field.combine([c for c, _ in pairs], cells))
 
 
 def _scramble_maps(g: LayeredGraph, field: FieldSpec, rng) -> dict[int, list[list]]:
@@ -152,14 +158,15 @@ def algebra_view(
         maps = {n: identity(g.levels[n], field) for n in range(1, g.top_level + 1)}
     else:
         maps = _scramble_maps(g, field, random.Random(scramble_seed))
-    cells = [_nonzero_cells(g, n, maps[n], maps[n - 1], field) for n in range(2, g.top_level + 1)]
-    dims = (0,) + g.levels[1:]
-    return AlgebraView(field, dims, (None, None) + tuple(cells), plain=scramble_seed is None)
+    levels = [_nonzero_cells(g, n, maps[n], maps[n - 1], field) for n in range(2, g.top_level + 1)]
+    cells = (None, None) + tuple(rows for rows, _ in levels)
+    widths = (0, 0) + tuple(width for _, width in levels)
+    return AlgebraView(field, (0,) + g.levels[1:], cells, widths, plain=scramble_seed is None)
 
 
-def _nonzero_cells(g: LayeredGraph, n: int, xs, ys, field: FieldSpec) -> tuple:
+def _nonzero_cells(g: LayeredGraph, n: int, xs, ys, field: FieldSpec):
     """The nonzero cells of level n in the bases xs of level n and ys of
-    level n-1, as the (j, cell) pairs of each row.
+    level n-1, as the (j, cell) pairs of each row, and their width.
 
     A product is zero off edges, so only the cells (i, j) where xs[i] and
     ys[j] are nonzero at the ends of some edge are multiplied out, and
@@ -169,10 +176,11 @@ def _nonzero_cells(g: LayeredGraph, n: int, xs, ys, field: FieldSpec) -> tuple:
     cols_at = [[j for j, y in enumerate(ys) if y[w]] for w in range(g.levels[n - 1])]
     rows = []
     for x in xs:
-        live = {j for v, a in enumerate(x) if a for w in g.succ(V(n, v)) for j in cols_at[w.index]}
-        products = ((j, degree2_product(g, n, x, ys[j], field)) for j in sorted(live))
-        rows.append(tuple((j, cell) for j, cell in products if any(cell)))
-    return tuple(rows)
+        support = [(v, a) for v, a in enumerate(x) if a]
+        live = {j for v, _ in support for w in g.succ(V(n, v)) for j in cols_at[w.index]}
+        cells = ((j, tuple(_product_entries(g, n, support, ys[j], field))) for j in sorted(live))
+        rows.append(tuple((j, cell) for j, cell in cells if cell))
+    return tuple(rows), _product_blocks(g, n)[1] if any(rows) else 0
 
 
 def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
@@ -191,8 +199,7 @@ def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
         if c:
             for j, cell in view.cells[n][i]:
                 cols[j].append((i, cell))
-    field, width = view.field, _width(view, n)
-    return left_kernel([_combine_cells(norm, col, width, field) for col in cols], field)
+    return left_kernel([_combine_cells(norm, col) for col in cols], view.field)
 
 
 @dataclass(frozen=True)
@@ -206,27 +213,22 @@ class UpperBasis:
     ks: tuple
 
 
-def _width(view: AlgebraView, n: int) -> int:
-    """The length of any stored cell of level n, 0 if it stores none."""
-    return next((len(cell) for row in view.cells[n] for _, cell in row), 0)
-
-
-def _combine_cells(coeffs, cells, width: int, field: FieldSpec):
+def _combine_cells(coeffs, cells) -> dict:
     """The sum of c * cell over the pairs (k, cell) with c = coeffs[k]
-    nonzero, added a whole cell at a time in plain ints, reduced once."""
-    acc = None
+    nonzero, as {column: sum} in plain ints over F_p; `left_kernel`
+    reduces each sum once and drops those that vanish."""
+    acc: dict = {}
+    get = acc.get
     for k, cell in cells:
         if c := coeffs[k]:
-            acc = [c * b for b in cell] if acc is None else [a + c * b for a, b in zip(acc, cell)]
-    if acc is None:
-        return [field.zero] * width
-    return acc if field.p is None else [a % field.p for a in acc]
+            for col, b in cell:
+                acc[col] = get(col, 0) + c * b
+    return acc
 
 
 def _right_mult_kernel(view: AlgebraView, n: int, y) -> Subspace:
     """{a in the level-n component : a * y = 0} for y one level down."""
-    field, width = view.field, _width(view, n)
-    return left_kernel([_combine_cells(y, row, width, field) for row in view.cells[n]], field)
+    return left_kernel([_combine_cells(y, row) for row in view.cells[n]], view.field)
 
 
 def _kernel_source(view: AlgebraView, n: int):
@@ -283,16 +285,16 @@ def _peeled_vertex_rays(view: AlgebraView, n: int):
     So a pass resumes there, from the cut before it, and repeats no
     intersection.
     """
-    d = view.level_dims[n]
+    d, field = view.level_dims[n], view.field
     source = _kernel_source(view, n)
     kernels: list = []
     rays: list = []
-    whole = full_space(d, view.field)
+    found: dict = {}  # the echelon of the rays found
+    whole = full_space(d, field)
     cuts: list = []  # the last pass's kept cuts, as (kernels used, intersection)
     while len(rays) < d:
-        found = span(rays, d, view.field)
         # the cuts shrink, so those in the found span come last
-        j = bisect.bisect_left(cuts, True, key=lambda cut: found.contains_subspace(cut[1]))
+        j = bisect.bisect_left(cuts, True, key=lambda cut: _holds(found, cut[1], field))
         i = cuts[j][0] if cuts else 0
         del cuts[j:]
         acc = cuts[-1][1] if cuts else whole
@@ -312,10 +314,11 @@ def _peeled_vertex_rays(view: AlgebraView, n: int):
                 continue
             meet = ker if acc is whole else acc.intersect(ker)
             # a meet larger than the found span cannot lie in it
-            if meet.dim > found.dim or not found.contains_subspace(meet):
+            if meet.dim > len(found) or not _holds(found, meet, field):
                 acc = meet
                 cuts.append((i, acc))
-        rays.append(acc.basis[0])
+        rays.append(tuple(_dense(acc.rows[0], d, field)))
+        _extend_echelon(found, [dict(acc.rows[0])], field)
     return rays
 
 
@@ -378,15 +381,12 @@ def _exhaustive_scan(view: AlgebraView, n: int) -> list:
     d = view.level_dims[n]
     scored = [(x, kappa_view(view, n, x)) for x in enumerate_rays(field, d)]
     scored.sort(key=lambda s: -s[1].dim)  # stable: lex order within each k
-    chosen = []
-    acc = zero_space(d, field)
+    chosen, echelon = [], {}  # and the echelon of the vectors chosen
     for x, kap in scored:
         if len(chosen) == d:
             break
-        if acc.contains_vector(x):
-            continue
-        acc = span(acc.basis + (x,), d, field)
-        chosen.append((x, kap))
+        if _extend_echelon(echelon, [field.entries(x)], field) > len(chosen):
+            chosen.append((x, kap))
     return chosen
 
 
@@ -439,10 +439,9 @@ def _nonnesting_core(view: AlgebraView):
     edges = []
     for i in range(3, top + 1):
         upper, lower = bases[i], bases[i - 1]
+        xs = [view.field.entries(x) for x in lower.vectors]
         for a, kap in enumerate(upper.kappas):
-            succ = [
-                j for j, x in enumerate(lower.vectors) if not kap.contains_vector(x)
-            ]
+            succ = [j for j, x in enumerate(xs) if not kap.contains_vector(x)]
             expected = view.level_dims[i - 1] - upper.ks[a] + 1
             if len(succ) != expected:
                 raise NonNestingViolated(
@@ -463,17 +462,16 @@ def reconstruct_nonnesting(view: AlgebraView) -> LayeredGraph:
 
 
 def _annihilator(space: Subspace) -> list:
-    """Equations cutting out a subspace, read off its RREF basis b_i with
-    pivots p_i: e_f - sum_i b_i[f] e_(p_i) for each free column f."""
-    field = space.field
-    eqs = []
-    for f in sorted(set(range(space.ambient_dim)).difference(space.pivots)):
-        eq = [field.zero] * space.ambient_dim
-        eq[f] = field.one
-        for c, row in zip(space.pivots, space.basis):
-            eq[c] = field(-row[f])
-        eqs.append(eq)
-    return eqs
+    """Equations cutting out a subspace, as entry dicts, read off its RREF
+    basis b_i with pivots p_i: e_f - sum_i b_i[f] e_(p_i) for each free
+    column f.  A row is zero at the other pivots, so its entries after
+    the first sit at free columns."""
+    field, pivots = space.field, set(space.pivots)
+    eqs = {f: {f: field.one} for f in range(space.ambient_dim) if f not in pivots}
+    for row in space.rows:
+        for f, b in row[1:]:
+            eqs[f][row[0][0]] = field(-b)
+    return list(eqs.values())
 
 
 def _level_one_sets(basis2: UpperBasis, size: int, count: int):
@@ -489,7 +487,9 @@ def _level_one_sets(basis2: UpperBasis, size: int, count: int):
     intersection of dimension >= 2, and accepts its set if it has `size`
     members.  The certificate then shows that no other such set exists.
     A pass keeps one echelon of the equations cutting out the kappas
-    kept, so the intersection has dimension d minus its rank.
+    kept, so the intersection has dimension d minus its rank.  A kappa's
+    equations are reduced against it and ranked on their own, and join
+    it only when the kappa is kept.
     """
     kappas = basis2.kappas
     field, d = kappas[0].field, kappas[0].ambient_dim
@@ -503,13 +503,13 @@ def _level_one_sets(basis2: UpperBasis, size: int, count: int):
         passes += 1
         rng.shuffle(order)
         order.sort(key=cover.__getitem__)
-        pivots, rows, kept = [], [], []
+        echelon, kept = {}, []
         for j in order:
-            rank = len(rows)
-            if d - _extend_echelon(pivots, rows, eqs[j], field) >= 2:
+            cut: dict = {}
+            _extend_echelon(cut, (_reduce(dict(eq), echelon, field) for eq in eqs[j]), field)
+            if d - len(echelon) - len(cut) >= 2:
                 kept.append(j)
-            else:
-                del pivots[rank:], rows[rank:]
+                _extend_echelon(echelon, cut.values(), field)
         kept = tuple(sorted(kept))
         if len(kept) == size and kept not in found:
             found.add(kept)
@@ -587,26 +587,30 @@ def _scalar_from_json(field: FieldSpec, raw):
         raise DimensionMismatch(f"view entry {raw!r} is not in {field.describe()}") from exc
 
 
-def _cell_to_json(cell) -> list:
-    """A cell of ints is copied whole; any other goes entry by entry."""
-    if set(map(type, cell)) <= {int}:
-        return list(cell)
-    return [_scalar_to_json(c) for c in cell]
+def _cell_to_json(cell, width: int, field: FieldSpec) -> list:
+    """The cell written dense: ints as ints, rationals as strings."""
+    dense = _dense(cell, width, field)
+    return dense if field.p is not None else [str(c) for c in dense]
 
 
 def _cell_from_json(field: FieldSpec, cell) -> tuple:
-    """Over F_p a cell of ints is reduced whole; any other cell goes entry
-    by entry, which raises on a bad entry."""
+    """The nonzero entries of a dense JSON cell, as (k, value) pairs.  Over
+    F_p a cell of ints is reduced whole; any other cell goes entry by
+    entry, which raises on a bad entry."""
     if field.p is not None and set(map(type, cell)) <= {int}:
-        return tuple([c % field.p for c in cell])
-    return tuple(_scalar_from_json(field, c) for c in cell)
+        return tuple((k, r) for k, c in enumerate(cell) if (r := c % field.p))
+    return tuple((k, r) for k, c in enumerate(cell) if (r := _scalar_from_json(field, c)))
 
 
 def view_to_json_dict(view: AlgebraView) -> dict:
-    """The view as JSON: per level n >= 2, the nonzero cells as entries
-    [i, j, cell] with (i, j) strictly increasing."""
+    """The view as JSON: per level n >= 2, the nonzero cells, each written
+    dense, as entries [i, j, cell] with (i, j) strictly increasing."""
     cells = {
-        str(n): [[i, j, _cell_to_json(c)] for i, row in enumerate(view.cells[n]) for j, c in row]
+        str(n): [
+            [i, j, _cell_to_json(c, view.widths[n], view.field)]
+            for i, row in enumerate(view.cells[n])
+            for j, c in row
+        ]
         for n in range(2, view.top_level + 1)
     }
     return {
@@ -617,9 +621,10 @@ def view_to_json_dict(view: AlgebraView) -> dict:
     }
 
 
-def _level_from_json(field: FieldSpec, entries, n: int, dims: tuple) -> tuple:
+def _level_from_json(field: FieldSpec, entries, n: int, dims: tuple):
     """The rows of (j, cell) pairs that the JSON entries of level n
-    describe, without the cells that are zero in the field."""
+    describe, without the cells that are zero in the field, and the
+    width of the cells kept."""
     if not isinstance(entries, list):
         raise DimensionMismatch(f"level {n} cells are not a list")
     d, d_prev = dims[n], dims[n - 1]
@@ -635,12 +640,12 @@ def _level_from_json(field: FieldSpec, entries, n: int, dims: tuple) -> tuple:
             raise DimensionMismatch(f"level {n} cell ({i}, {j}) is repeated or out of order")
         last = (i, j)
         widths.add(len(cell))
-        cell = _cell_from_json(field, cell)
-        if any(cell):
-            rows[i].append((j, cell))
+        if pairs := _cell_from_json(field, cell):
+            rows[i].append((j, pairs))
     if len(widths) > 1:
         raise DimensionMismatch(f"level {n} has cells of widths {sorted(widths)}")
-    return tuple(map(tuple, rows))
+    width = widths.pop() if any(rows) else 0
+    return tuple(map(tuple, rows)), width
 
 
 def view_from_json_dict(data: dict) -> AlgebraView:
@@ -655,6 +660,10 @@ def view_from_json_dict(data: dict) -> AlgebraView:
     if not _is_int_list(data["level_dims"]):
         raise DimensionMismatch(f"view level_dims {data['level_dims']!r} are not ints")
     dims = tuple(data["level_dims"])
+    if any(d < 0 for d in dims) or dims[:1] not in ((), (0,)):
+        raise DimensionMismatch(
+            f"view level_dims {list(dims)} must be non-negative, with entry 0 equal to 0"
+        )
     plain = data.get("plain", False)
     if not isinstance(plain, bool):
         raise DimensionMismatch(f"view plain flag {plain!r} is not true or false")
@@ -662,8 +671,10 @@ def view_from_json_dict(data: dict) -> AlgebraView:
     levels = [str(n) for n in range(2, len(dims))]
     if not isinstance(raw, dict) or set(raw) != set(levels):
         raise DimensionMismatch(f"view cells are not an object with keys {levels}")
-    cells = [_level_from_json(field, raw[str(n)], n, dims) for n in range(2, len(dims))]
-    return AlgebraView(field, dims, (None, None) + tuple(cells), plain)
+    parsed = [_level_from_json(field, raw[str(n)], n, dims) for n in range(2, len(dims))]
+    cells = (None, None) + tuple(rows for rows, _ in parsed)
+    widths = (0, 0) + tuple(width for _, width in parsed)
+    return AlgebraView(field, dims, cells, widths, plain)
 
 
 def reconstruction_report(

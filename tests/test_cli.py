@@ -237,6 +237,8 @@ def _edited(data, path, value=None):
         ("view", ("level_dims",), None),
         ("view", ("cells", "2", 0, 0), 3),
         ("view", ("cells", "2", 1, 1), 0),
+        ("view", ("level_dims",), [5, 3, 3, 1]),
+        ("view", ("level_dims",), [0, 3, -3, 1]),
         ("graph", ("edges", 0), [[1], [0, 0]]),
         ("graph", ("edges", 0), [[1, "a"], [0, 0]]),
         ("graph", ("levels",), 5),
@@ -268,6 +270,8 @@ def _edited(data, path, value=None):
         "view-level-dims-missing",
         "view-index-out-of-range",
         "view-cell-repeated-or-out-of-order",
+        "view-level-dims-entry-0-nonzero",
+        "view-level-dims-negative",
         "graph-short-endpoint",
         "graph-string-index",
         "graph-levels-not-a-list",

@@ -52,6 +52,7 @@ def matrices(draw, field=None, max_dim=5):
 def test_rref_idempotent(data):
     field, m = data
     reduced, pivots = rref(m, field)
+    assert (reduced, pivots) == _dense_rref(m, field)
     again, pivots2 = rref(reduced, field)
     assert again == reduced
     assert pivots2 == pivots
@@ -264,13 +265,33 @@ def test_fraction_exactness():
 
 
 # Reference algorithms: how kernels, intersections and reductions were
-# computed before subspaces carried their pivots.  The library reads its
-# answers off one rref; these take the long way round.
+# computed on dense rows, before subspaces carried their pivots and kept
+# only their nonzero entries.  The library works on echelons of sparse
+# rows; these take the long way round, on a dense rref of their own.
+
+
+def _dense_rref(rows, field):
+    """Gauss-Jordan on dense rows, column by column: (rows, pivots)."""
+    m = [field.vector(row) for row in rows]
+    pivots, r = [], 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field(inv * x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = field.axpy(m[i], m[i][c], m[r])
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
 
 
 def _free_column_kernel(rows, ncols, field):
     """One kernel vector per free column of rref(M), canonicalized."""
-    reduced, pivots = rref(rows, field)
+    reduced, pivots = _dense_rref(rows, field)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [field.zero] * ncols
@@ -291,7 +312,7 @@ def _dense_left_kernel(rows, field):
     """{x : x M = 0} read off one rref of the whole [M | I]."""
     ncols = len(rows[0]) if rows else 0
     stacked = [list(row) + unit for row, unit in zip(rows, identity(len(rows), field))]
-    reduced, pivots = rref(stacked, field)
+    reduced, pivots = _dense_rref(stacked, field)
     basis = tuple(tuple(row[ncols:]) for row, c in zip(reduced, pivots) if c >= ncols)
     return basis, tuple(c - ncols for c in pivots if c >= ncols)
 
@@ -301,7 +322,7 @@ def _filtered_intersect(a, b):
     n, zero = a.ambient_dim, a.field.zero
     stacked = [list(r) + list(r) for r in a.basis]
     stacked += [list(r) + [zero] * n for r in b.basis]
-    reduced, _ = rref(stacked, a.field)
+    reduced, _ = _dense_rref(stacked, a.field)
     return span([row[n:] for row in reduced if not any(row[:n])], n, a.field)
 
 
@@ -366,14 +387,16 @@ def test_incremental_echelon_rank_matches_rank(field, nrows, dim, data):
     # rows fed in chunks, as a closure pass feeds one kernel's equations
     rows = _sparse_rows(data, field, nrows, dim)
     cuts = sorted(data.draw(st.lists(st.integers(0, nrows), max_size=3)))
-    pivots, echelon = [], []
+    echelon = {}
     for lo, hi in zip([0, *cuts], [*cuts, nrows]):
-        reported = _extend_echelon(pivots, echelon, rows[lo:hi], field)
+        reported = _extend_echelon(echelon, [field.entries(r) for r in rows[lo:hi]], field)
         assert reported == len(echelon) == rank(rows[:hi], field)
-    assert span(echelon, dim, field) == span(rows, dim, field)
-    # each row has a 1 at its pivot and is zero at the pivots before it
-    for i, (c, row) in enumerate(zip(pivots, echelon)):
-        assert row[c] == 1 and not any(row[b] for b in pivots[:i])
+    assert span(list(echelon.values()), dim, field) == span(rows, dim, field)
+    # each row is led by a 1 at its pivot, is zero at the other pivots and
+    # stores no zero
+    for c, row in echelon.items():
+        assert min(row) == c and row[c] == 1 and all(row.values())
+        assert not any(row.get(b) for b in echelon if b != c)
 
 
 def test_intersect_of_two_zero_subspaces():
@@ -450,3 +473,107 @@ def test_live_block_left_kernel_matches_the_dense_rref(field, nrows, ncols, data
     ker = left_kernel(m, field)
     assert (ker.basis, ker.pivots) == _dense_left_kernel(m, field)
     assert ker.ambient_dim == nrows
+
+
+# Zero-heavy rows, as scramble views produce them: a coordinate subspace
+# (scaled unit vectors) plus a few full rows, over every field.
+
+
+def _zero_heavy_rows(data, field, dim, max_full=2):
+    """Scaled unit vectors on a random set of coordinates, in random
+    order, mixed with at most max_full full rows."""
+    if field.is_rational:
+        nonzero = st.fractions(-4, 4, max_denominator=5).filter(bool)
+        entry = st.fractions(-4, 4, max_denominator=5)
+    else:
+        nonzero = st.integers(1, field.p - 1)
+        entry = st.integers(0, field.p - 1)
+    coords = data.draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim)) if dim else []
+    rows = []
+    for c in coords:
+        row = [0] * dim
+        row[c] = data.draw(nonzero)
+        rows.append(row)
+    rows += data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=max_full))
+    rows = data.draw(st.permutations(rows))
+    return [field.vector(r) for r in rows]
+
+
+def _assert_stored_sparse(space):
+    # no zero values; columns increase; each row led by a 1 at its pivot
+    for row in space.rows:
+        cols = [k for k, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= k < space.ambient_dim for k in cols)
+        assert all(x for _, x in row) and row[0][1] == 1
+    assert len(set(space.pivots)) == space.dim
+
+
+def _dense_span_basis(rows, dim, field):
+    return tuple(map(tuple, _dense_rref(rows, field)[0])) if rows else ()
+
+
+zero_heavy_dims = st.integers(0, 7)
+
+
+@given(all_fields, zero_heavy_dims, st.data())
+@settings(max_examples=150, deadline=None)
+def test_zero_heavy_span_reduce_and_echelon_match_dense_references(field, dim, data):
+    rows = _zero_heavy_rows(data, field, dim)
+    space = span(rows, dim, field)
+    _assert_stored_sparse(space)
+    assert space.basis == _dense_span_basis(rows, dim, field)
+    vector = _zero_heavy_rows(data, field, dim, max_full=1)
+    vector = vector[0] if vector else [field.zero] * dim
+    residual = reduce_vector(vector, space)
+    assert residual == _pivot_scanning_reduce(vector, space.basis, field)
+    assert space.contains_vector(vector) == (not any(residual))
+    # fed in two chunks, the echelon's rank is the dense rank
+    cut = data.draw(st.integers(0, len(rows)))
+    echelon = {}
+    for chunk in (rows[:cut], rows):
+        reported = _extend_echelon(echelon, [field.entries(r) for r in chunk], field)
+        assert reported == len(_dense_rref(chunk, field)[0]) if chunk else reported == 0
+    assert span(list(echelon.values()), dim, field) == space
+
+
+@given(all_fields, zero_heavy_dims, st.data())
+@settings(max_examples=150, deadline=None)
+def test_zero_heavy_intersect_and_containment_match_dense_references(field, dim, data):
+    a = span(_zero_heavy_rows(data, field, dim), dim, field)
+    b = span(_zero_heavy_rows(data, field, dim), dim, field)
+    inter = a.intersect(b)
+    _assert_stored_sparse(inter)
+    assert inter == _filtered_intersect(a, b) == b.intersect(a)
+    for x, y in ((a, b), (b, a), (a, inter), (inter, a)):
+        joint = len(_dense_rref(list(x.basis) + list(y.basis), field)[0]) if x.dim + y.dim else 0
+        assert x.contains_subspace(y) == (joint == x.dim)
+    total = a.add(b)
+    _assert_stored_sparse(total)
+    assert total.basis == _dense_span_basis(list(a.basis) + list(b.basis), dim, field)
+
+
+@given(all_fields, st.integers(0, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_zero_heavy_kernels_match_dense_references(field, ncols, data):
+    m = _zero_heavy_rows(data, field, ncols, max_full=2)
+    left = left_kernel(m, field)
+    _assert_stored_sparse(left)
+    assert (left.basis, left.pivots) == _dense_left_kernel(m, field)
+    # the same rows given as entry dicts
+    assert left_kernel([field.entries(r) for r in m], field) == left
+    if m:
+        right = kernel(m, ncols, field)
+        _assert_stored_sparse(right)
+        assert right == _free_column_kernel(m, ncols, field)
+
+
+@given(all_fields, zero_heavy_dims, st.data())
+@settings(max_examples=100, deadline=None)
+def test_key_ignores_generator_order_and_scale(field, dim, data):
+    rows = _zero_heavy_rows(data, field, dim)
+    nonzero = st.integers(1, field.p - 1) if field.p else st.integers(1, 5)
+    scales = data.draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
+    shuffled = data.draw(st.permutations(rows))
+    moved = [[field(c * x) for x in row] for c, row in zip(scales, shuffled)]
+    assert span(moved, dim, field).key() == span(rows, dim, field).key()
+    assert span(moved, dim, field) == span(rows, dim, field)

@@ -65,7 +65,6 @@ from laga.reconstruct import (
     _peeled_vertex_rays,
     _right_mult_kernel,
     _scramble_maps,
-    _width,
 )
 
 F3 = GF(3)
@@ -75,14 +74,31 @@ def _unit(d, i):
     return tuple(F3.one if j == i else F3.zero for j in range(d))
 
 
+def _dense_cell(view, n, cell):
+    """A stored cell of level n as its dense tuple of quotient coordinates."""
+    dense = [view.field.zero] * view.widths[n]
+    for k, x in cell:
+        dense[k] = x
+    return tuple(dense)
+
+
+def _sparse_cells(products):
+    """Rows of dense products as the view stores them: (j, cell) for the
+    nonzero products, each cell its (k, value) pairs."""
+    def cell(c):
+        return tuple((k, x) for k, x in enumerate(c) if x)
+
+    return tuple(tuple((j, cell(c)) for j, c in enumerate(row) if any(c)) for row in products)
+
+
 def _dense(view, n):
     """The level-n product of every pair of basis vectors, the zero ones
     included, rebuilt from the stored cells."""
-    zero = (view.field.zero,) * _width(view, n)
+    zero = (view.field.zero,) * view.widths[n]
     dense = [[zero] * view.level_dims[n - 1] for _ in range(view.level_dims[n])]
     for i, row in enumerate(view.cells[n]):
         for j, cell in row:
-            dense[i][j] = cell
+            dense[i][j] = _dense_cell(view, n, cell)
     return dense
 
 
@@ -560,11 +576,12 @@ def _random_basis_view(g, field, seed):
     drawn level by level from one seeded stream."""
     rng = random.Random(seed)
     maps = {n: _random_invertible(g.levels[n], field, rng) for n in range(1, g.top_level + 1)}
-    cells = [None, None]
+    cells, widths = [None, None], [0, 0]
     for n in range(2, g.top_level + 1):
         products = [[degree2_product(g, n, x, y, field) for y in maps[n - 1]] for x in maps[n]]
-        cells.append(tuple(tuple((j, c) for j, c in enumerate(row) if any(c)) for row in products))
-    return AlgebraView(field, (0,) + g.levels[1:], tuple(cells))
+        cells.append(_sparse_cells(products))
+        widths.append(len(products[0][0]) if any(cells[-1]) else 0)
+    return AlgebraView(field, (0,) + g.levels[1:], tuple(cells), tuple(widths))
 
 
 @pytest.mark.parametrize("n, p, seed", [(6, 3, 1), (6, 5, 3), (6, 7, 3), (7, 3, 1)])
@@ -628,11 +645,10 @@ def test_recovery_ignores_the_output_basis(spec, p, seed, change):
     rng = random.Random(change)
     cells = list(view.cells)
     for n in range(2, view.top_level + 1):
-        mat = _random_invertible(_width(view, n), field, rng)
-        cells[n] = tuple(
-            tuple((j, tuple(field.combine(cell, mat))) for j, cell in row) for row in view.cells[n]
-        )
-    moved = AlgebraView(field, view.level_dims, tuple(cells))
+        mat = _random_invertible(view.widths[n], field, rng)
+        products = [[field.combine(cell, mat) for cell in row] for row in _dense(view, n)]
+        cells[n] = _sparse_cells(products)
+    moved = AlgebraView(field, view.level_dims, tuple(cells), view.widths)
     assert moved.cells != view.cells
     for n in range(2, view.top_level + 1):
         assert upper_vertex_like_basis(moved, n) == upper_vertex_like_basis(view, n)
@@ -730,6 +746,14 @@ def test_view_cells_out_of_place_are_shape_errors(boolean3, edit, message):
     data = view_to_json_dict(algebra_view(boolean3, scramble_seed=1))
     edit(data["cells"])
     with pytest.raises(DimensionMismatch, match=message):
+        view_from_json_dict(data)
+
+
+@pytest.mark.parametrize("dims", [[5, 3, 3, 1], [0, -2], [0, 3, -3, 1]])
+def test_view_level_dims_must_start_at_zero_and_not_be_negative(boolean3, dims):
+    data = view_to_json_dict(algebra_view(boolean3, scramble_seed=1))
+    data["level_dims"] = dims
+    with pytest.raises(DimensionMismatch, match=r"view level_dims .* non-negative, with entry 0"):
         view_from_json_dict(data)
 
 
