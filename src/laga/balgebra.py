@@ -101,8 +101,8 @@ def relation_space(g: LayeredGraph, n: int, field: FieldSpec = QQ) -> Subspace:
         row_base = v.index * width
         for w in g.level_vertices(n - 1):
             if w not in sv:
-                gens.append({row_base + w.index: field.one})
-        gens.append({row_base + w.index: field.one for w in sv})
+                gens.append({row_base + w.index: 1})
+        gens.append({row_base + w.index: 1 for w in sv})
     return span(gens, cols, field)
 
 
@@ -118,7 +118,7 @@ def gr_quadratic_space(g: LayeredGraph, n: int, field: FieldSpec = QQ) -> Subspa
     for v in g.level_vertices(n):
         sv = g.succ(v)
         base = v.index * width
-        gens += ({base + sv[0].index: field.one, base + u.index: field(-1)} for u in sv[1:])
+        gens += ({base + sv[0].index: 1, base + u.index: -1} for u in sv[1:])
     return span(gens, cols, field)
 
 
@@ -165,7 +165,7 @@ def component(g: LayeredGraph, m: int, n: int, field: FieldSpec = QQ) -> Bigrade
         groups: dict[Word, list] = {}
         for i, p in enumerate(paths):
             groups.setdefault(p[:j] + p[j + 1 :], []).append(i)
-        gens += ({c: field.one for c in cols} for cols in groups.values())
+        gens += (dict.fromkeys(cols, 1) for cols in groups.values())
     relations = span(gens, len(paths), field)
     pivots = set(relations.pivots)
     free_cols = tuple(c for c in range(len(paths)) if c not in pivots)
@@ -203,7 +203,7 @@ def kappa_combinatorial(g: LayeredGraph, vertex_set, *, field: FieldSpec = QQ) -
     by their least vertex, so their sums already are the canonical
     basis, with pivots at those vertices."""
     part = _set_partition(g, vertex_set)
-    rows = (tuple(sorted((w.index, field.one) for w in cls)) for cls in part.classes)
+    rows = (tuple(sorted((w.index, 1) for w in cls)) for cls in part.classes)
     return Subspace(field, g.levels[part.ground_level], tuple(rows))
 
 
@@ -256,15 +256,17 @@ def degree2_product(g: LayeredGraph, n: int, x, y, field: FieldSpec = QQ) -> tup
 def _product_entries(g: LayeredGraph, n: int, x_entries, y, field: FieldSpec):
     """The nonzero entries (column, value) of `degree2_product`, for x given
     as (index, value) pairs, in column order when those come in index
-    order, and y dense; both in the field."""
-    blocks = _product_blocks(g, n)[0]
+    order, and y dense; both in the field.  Over Q the values are the
+    products as they come, ints when x and y hold ints."""
+    blocks, p = _product_blocks(g, n)[0], field.p
     for v, a in x_entries:
         start, succ = blocks[v]
         if a and len(succ) > 1:
             y0 = y[succ[0]]
             for k, s in enumerate(succ[1:], start):
                 if y[s] != y0:
-                    yield k, field(a * (y[s] - y0))
+                    c = a * (y[s] - y0)
+                    yield k, c if p is None else c % p
 
 
 @memo
@@ -281,12 +283,15 @@ def _product_blocks(g: LayeredGraph, n: int):
 
 def kappa_kernel(g: LayeredGraph, a: BElement) -> Subspace:
     """Oracle path: kernel of left multiplication into the degree-2
-    component, computed from structure constants."""
+    component, computed from structure constants: row j is a times the
+    unit vector e_j, as the entry dict of `_product_entries`."""
     _check_kappa_element(g, a)
-    field = a.field
-    n = a.level
-    units = identity(g.levels[n - 1], field)
-    return left_kernel([degree2_product(g, n, a.coords, y, field) for y in units], field)
+    field, n, d = a.field, a.level, g.levels[a.level - 1]
+    if n == 1:
+        return full_space(d, field)  # level 1 multiplies into nothing
+    x = field.entries(a.coords).items()
+    units = ([0] * j + [1] + [0] * (d - j - 1) for j in range(d))
+    return left_kernel([dict(_product_entries(g, n, x, y, field)) for y in units], field)
 
 
 def k_stats(g: LayeredGraph, vertex_set):

@@ -12,8 +12,12 @@ field.  `laga.linalg` keeps a row as a dict {column: nonzero value}:
 row vector times a matrix) serve elements, views and test references.
 Over F_p each operation reduces modulo p once per entry; over Q it is
 the same expression without the reduction, so callers have one code
-path for both fields.  Over Q, `vector` and `entries` pass a `Fraction`
-through unchanged (Fractions are immutable, so rows may share them).
+path for both fields.  Over Q, `vector`, `dot`, `combine` and the field
+itself give `Fraction`s; `vector` passes one through unchanged (they are
+immutable, so rows may share them).  In entry rows, as `entries` and
+`inv` give them, an integral rational is a plain int, so 0/±1 rows
+reduce in int arithmetic; an int compares and hashes equal to the equal
+`Fraction`, so rows that mix them stay canonical.
 """
 
 from __future__ import annotations
@@ -39,6 +43,13 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _as_rational(x) -> Fraction | int:
+    """x as a rational, a plain int when it is integral."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -89,15 +100,16 @@ class FieldSpec:
         if (a if p is None else a % p) == 0:
             raise ZeroDivisionError(f"division by zero in {self.describe()}")
         if p is None:
-            return 1 / Fraction(a)
+            return _as_rational(1 / Fraction(a))
         return pow(a, p - 2, p)
 
     def entries(self, xs) -> dict:
         """The nonzero entries of a dense row, or of a {column: value}
-        mapping, as {column: value} coerced into this field."""
+        mapping, as {column: value} coerced into this field; over Q an
+        integral value is an int."""
         items = xs.items() if isinstance(xs, dict) else enumerate(xs)
         if (p := self.p) is None:
-            return {c: y for c, x in items if x and (y := x if type(x) is Fraction else self(x))}
+            return {c: y for c, x in items if x and (y := x if type(x) is int else _as_rational(x))}
         return {c: y for c, x in items if x and (y := x % p if type(x) is int else self(x))}
 
     def subtract(self, v: dict, f, row) -> None:

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedField,
 )
 from .fields import QQ, FieldSpec
-from .graphs import LayeredGraph, V, _reach_map, _succ_map, memo
+from .graphs import LayeredGraph, V, _cocoverage_class, _reach_map, memo
 from .linalg import _within_budget, enumeration_budget
 
 Word = tuple[V, ...]
@@ -245,18 +245,18 @@ def normalize(g: LayeredGraph, word: Word) -> Word:
 def _pair_table(g: LayeredGraph, max_len: int):
     """Every pair (v, k) with k <= max_len for which v has a positive
     path of k vertices, in the canonical order, as (pair, k, weight,
-    covered).  Both are indexed off `_reach_map`: v has such a path
-    when it reaches some vertex k - 1 levels below, at a positive level
-    since k <= v.level, and (v, k) covers what it reaches k levels
-    below, as in `covers_pair`.  A pair may not be followed by one
-    starting at a vertex it covers."""
-    reach = _reach_map(g)
+    covered).  Both are indexed off `_reach_map`, which lists the
+    vertices level by level: v has such a path when it reaches some
+    vertex k - 1 levels below, at a positive level since k <= v.level,
+    and (v, k) covers what it reaches k levels below, as in
+    `covers_pair`.  A pair may not be followed by one starting at a
+    vertex it covers."""
     table = []
-    for v in g.positive_vertices():  # level by level, upwards
+    for v, reach in _reach_map(g).items():
         for k in range(1, min(max_len, v.level) + 1):
-            if not reach[v][k - 1]:
+            if not reach[k - 1]:
                 break
-            table.append(((v, k), k, pair_weight((v, k)), reach[v][k]))
+            table.append(((v, k), k, k * v.level - k * (k - 1) // 2, reach[k]))
     return table
 
 
@@ -452,33 +452,24 @@ def is_quadratic_to_degree(
 def _degree2_connects(g: LayeredGraph, v: V, m: int) -> bool:
     """Whether degree-2 rewrites join every m-vertex path from v.
 
-    A degree-2 rewrite swaps word[i+1], a successor of word[i], for
-    another, on the same positive level.  A stack search from the
-    first path reaches that path's class.  The paths, counted before
-    they are built, and the words it reaches are held to LAGA_BUDGET."""
-    budget = enumeration_budget()
-    bidegree = f"bidegree ({m},{pair_weight((v, m))})"
-    _within_budget(_path_counts(g, v.level, m)[v], f"paths of {bidegree}", budget)
-    paths = _vertex_paths_from(g, v, m)
-    if len(paths) < 2:
-        return True
-    what = f"words of {bidegree} reached by degree-2 rewrites"
-    succ = _succ_map(g)
-    seen = {paths[0]}
-    stack = [paths[0]]
-    while stack:
-        word = stack.pop()
-        for i in range(m - 1):
-            options = succ.get(word[i], ())
-            if word[i + 1] not in options:
-                continue
-            for w in options:
-                nxt = word[: i + 1] + (w,) + word[i + 2 :]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        _within_budget(len(seen), what, budget)
-    return seen.issuperset(paths)
+    A degree-2 rewrite at position i swaps letter i+1 for another
+    successor of letter i.  It needs only letters i and i+1, so the
+    prefix before a position moves on its own, and every letter the
+    position before can take serves in turn.  So the words a path
+    reaches form a product: letter 0 is v, and letter k ranges over its
+    class under co-coverage from the successor sets of the letters
+    position k-1 ranges over.  The paths are joined exactly when, at
+    each position k, the letters of all of them, the vertices k levels
+    below v that reach m-1-k levels further down, lie in one class."""
+    reach = _reach_map(g)
+    if not reach[v][m - 1]:
+        return True  # no path at all
+    letters = {v}
+    for k in range(1, m):
+        here = [u for u in reach[v][k] if reach[u][m - 1 - k]]
+        if (letters := _cocoverage_class(g, letters, here)) is None:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

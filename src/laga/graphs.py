@@ -365,27 +365,48 @@ def check_identities(g: LayeredGraph, vertex_set: Iterable[V], *, level: int | N
     return report
 
 
+def _cocoverage_class(g: LayeredGraph, sources, letters) -> set[V] | None:
+    """The class under co-coverage from the successor sets of `sources`,
+    vertices of one level, that holds every vertex of `letters`, or None
+    when `letters` is empty or meets two classes.  Only that class is
+    grown, from one letter: each unused source above a vertex of it adds
+    its whole successor set, so the work is the class and its in-edges."""
+    if not letters:
+        return None
+    pred, succ = _pred_map(g), _succ_map(g)
+    unused, todo = set(sources), [next(iter(letters))]
+    cls = set(todo)
+    while todo:
+        for t in pred.get(todo.pop(), ()):
+            if t in unused:
+                unused.remove(t)
+                for w in succ[t]:
+                    if w not in cls:
+                        cls.add(w)
+                        todo.append(w)
+    return cls if cls.issuperset(letters) else None
+
+
 @memo
 def is_uniform(g: LayeredGraph):
     """(True, None) or (False, witness vertex with its split classes),
-    read off one class partition per vertex, once per graph."""
+    once per graph.  S(v) is linked iff S(S(v)) lies in one class of
+    V_{n-2} under co-coverage from S(v), which `_cocoverage_class`
+    grows; only the witness gets a full `class_partition`."""
     for n in range(2, len(g.levels)):
         for v in g.level_vertices(n):
             sv = g.succ(v)
-            if len(sv) <= 1:
+            if len(sv) <= 1 or _cocoverage_class(g, sv, successors(g, sv)) is not None:
                 continue
-            # S(v) is linked iff the classes of V_{n-2} under
-            # co-coverage from S(v) meet S(S(v)) exactly once
             part = class_partition(g, sv)
-            if part.k_meeting != 1:
-                groups: dict[object, list[V]] = {}
-                cls_of = {w: i for i, c in enumerate(part.classes) for w in c}
-                for u in sv:
-                    su = g.succ(u)
-                    key = cls_of[su[0]] if su else ("lone", u)
-                    groups.setdefault(key, []).append(u)
-                split = tuple(tuple(c) for c in groups.values())
-                return False, (v, split)
+            groups: dict[object, list[V]] = {}
+            cls_of = {w: i for i, c in enumerate(part.classes) for w in c}
+            for u in sv:
+                su = g.succ(u)
+                key = cls_of[su[0]] if su else ("lone", u)
+                groups.setdefault(key, []).append(u)
+            split = tuple(tuple(c) for c in groups.values())
+            return False, (v, split)
     return True, None
 
 

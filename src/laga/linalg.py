@@ -1,11 +1,13 @@
 """Sparse exact linear algebra over Q and F_p.
 
 A row is kept as its nonzero entries: while it is worked on, a dict
-{column: value} in the field (`Fraction` over Q, an int in [0, p) over
-F_p), changed in place through `FieldSpec`, so one code path serves both
-fields.  A `Subspace` stores its canonical reduced row echelon basis,
-each row a tuple of (column, value) pairs in column order, so equality
-of subspaces is equality of tuples and `key()` is a dictionary key.
+{column: value} in the field (over Q an int when integral and a
+`Fraction` otherwise, an int in [0, p) over F_p), changed in place
+through `FieldSpec`, so one code path serves both fields.  A `Subspace`
+stores its canonical reduced row echelon basis, each row a tuple of
+(column, value) pairs in column order, so equality of subspaces is
+equality of tuples and `key()` is a dictionary key; an int compares and
+hashes equal to the equal `Fraction`, so rows that mix them do too.
 
 Every reduction runs on an echelon: a dict from pivot column to a row
 (an entry dict, or a subspace's pairs) with a 1 there and a 0 at every
@@ -129,12 +131,11 @@ def _kernel_rows(m: list, field: FieldSpec) -> tuple:
     row of M adds its unit vector, which no other row touches, without a
     reduction."""
     n = max((max(v) + 1 for v in m if v), default=0)
-    one = field.one
     left, right = {}, {}
     for i, v in enumerate(m):
         if not v:
             continue
-        v[n + i] = one
+        v[n + i] = 1
         _reduce(v, left, field)
         if (c := min(v)) < n:
             _join(v, c, left, field)
@@ -142,7 +143,7 @@ def _kernel_rows(m: list, field: FieldSpec) -> tuple:
             _join(v, min(v), right, field)
     found = {c - n: tuple([(k - n, x) for k, x in sorted(v.items())]) for c, v in right.items()}
     # the rows of M still empty are its zero rows
-    return tuple(found[i] if v else ((i, one),) for i, v in enumerate(m) if not v or i in found)
+    return tuple(found[i] if v else ((i, 1),) for i, v in enumerate(m) if not v or i in found)
 
 
 def _combination(coeffs, rows: tuple, field: FieldSpec) -> tuple:
@@ -249,7 +250,7 @@ def identity(d: int, field: FieldSpec) -> list[list]:
 
 
 def full_space(ambient_dim: int, field: FieldSpec) -> Subspace:
-    return Subspace(field, ambient_dim, tuple(((i, field.one),) for i in range(ambient_dim)))
+    return Subspace(field, ambient_dim, tuple(((i, 1),) for i in range(ambient_dim)))
 
 
 def zero_space(ambient_dim: int, field: FieldSpec) -> Subspace:

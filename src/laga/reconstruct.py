@@ -134,7 +134,9 @@ def _scramble_maps(g: LayeredGraph, field: FieldSpec, rng) -> dict[int, list[lis
     algebra, so nothing needs certifying.  A view then hides a
     relabelling and a rescaling of every degree-1 level, which need not
     be a graph automorphism.  Dense random maps would hide more, but
-    recovery on them is still about 1.5 times slower."""
+    recovery on them is 3 to 10 times slower: medians over scramble
+    seeds 1-5 of about 3x on Boolean 5 over F_5, 6x on Boolean 6 over
+    F_3 and 8-10x on the subspace lattice of F_3^3."""
     nonzero = range(1, field.p) if field.p else (1, 2, 3, -1, -2)
     maps = {}
     for n in range(1, g.top_level + 1):

@@ -41,7 +41,7 @@ from laga import (
     word_weight,
     words_of_bidegree,
 )
-from laga.gralgebra import _vertex_paths_from, covers_pair
+from laga.gralgebra import _degree2_connects, _vertex_paths_from, covers_pair
 
 
 def test_distinguished_path_follows_least_successor(boolean3):
@@ -416,17 +416,68 @@ def test_quadratic_at_the_scale_rungs():
     assert is_quadratic_to_degree(build_subspace_lattice(2, 4), 4) == (True, None)
 
 
-def test_word_classes_respect_budget(monkeypatch, boolean3):
-    """The number of words the quadraticity check's rewrite search
-    reaches is held to LAGA_BUDGET."""
-    # at d = 3 only the top vertex has 3-vertex paths, and degree-2
-    # rewrites of its first path reach all 3 * 3 words (top, a, b) of
-    # bidegree (3,6)
-    monkeypatch.setenv("LAGA_BUDGET", "8")
-    match = r"9 words of bidegree \(3,6\) reached by degree-2 rewrites exceed budget 8"
-    with pytest.raises(BudgetExceeded, match=match):
-        is_quadratic_to_degree(boolean3, 3)
-    monkeypatch.setenv("LAGA_BUDGET", "9")
+def _degree2_connects_by_search(g, v, m):
+    """Reference for the quadraticity closure: the former stack search,
+    which walks every word that degree-2 rewrites reach from the first
+    m-vertex path of v and asks whether the others are among them."""
+    paths = _vertex_paths_from(g, v, m)
+    if len(paths) < 2:
+        return True
+    seen = {paths[0]}
+    stack = [paths[0]]
+    while stack:
+        word = stack.pop()
+        for i in range(m - 1):
+            options = g.succ(word[i])
+            if word[i + 1] not in options:
+                continue
+            for w in options:
+                nxt = word[: i + 1] + (w,) + word[i + 2 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return seen.issuperset(paths)
+
+
+def _drop_out_edges(g, rng):
+    """g with every out-edge of about a quarter of its positive vertices
+    removed, so that some vertices are childless."""
+    childless = {v for v in g.positive_vertices() if rng.random() < 0.25}
+    return build_graph(
+        g.levels, [e for e in g.edges if e[0] not in childless], unique_minimal=g.unique_minimal
+    )
+
+
+@pytest.mark.parametrize("unique_minimal", [True, False])
+@pytest.mark.parametrize("childless", [False, True])
+def test_quadraticity_closure_is_the_rewrite_search(unique_minimal, childless):
+    """The co-coverage closure gives the rewrite search's verdict for
+    every vertex and path length, and so the same first failure, on
+    random graphs of up to six levels."""
+    verdicts = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = random_layered_graph(rng, max_levels=6, max_width=4, unique_minimal=unique_minimal)
+        if childless:
+            g = _drop_out_edges(g, rng)
+        first_failure = None
+        for length in range(1, g.top_level + 1):
+            for level in range(length, g.top_level + 1):
+                for v in g.level_vertices(level):
+                    joined = _degree2_connects_by_search(g, v, length)
+                    assert _degree2_connects(g, v, length) == joined, (seed, v, length)
+                    verdicts.add(joined)
+                    if not joined and length >= 3 and first_failure is None:
+                        first_failure = (length, pair_weight((v, length)))
+        expected = (True, None) if first_failure is None else (False, first_failure)
+        assert is_quadratic_to_degree(g, g.top_level) == expected
+    assert verdicts == {True, False}
+
+
+def test_quadraticity_reads_no_budget(monkeypatch, boolean3):
+    """The closure builds no path and no word, so it is not held to
+    LAGA_BUDGET: even a budget of 0 lets it run."""
+    monkeypatch.setenv("LAGA_BUDGET", "0")
     assert is_quadratic_to_degree(boolean3, 3) == (True, None)
 
 

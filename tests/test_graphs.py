@@ -31,7 +31,6 @@ from laga import (
     gr_hilbert_table,
     is_atomic_lattice,
     is_non_nesting,
-    is_quadratic_to_degree,
     is_uniform,
     k_stats,
     kappa_combinatorial,
@@ -149,6 +148,43 @@ def test_uniform_examples(boolean3, subspace23, nonuniform_graph):
     assert is_uniform(nonuniform_graph) is is_uniform(nonuniform_graph)
 
 
+def _uniform_by_partitions(g):
+    """Reference for `is_uniform`: the definition, one class partition
+    per vertex with two or more successors, S(v) linked when exactly one
+    class below meets S(S(v)); the witness groups S(v) by the class its
+    members' first successor lies in."""
+    for n in range(2, len(g.levels)):
+        for v in g.level_vertices(n):
+            sv = g.succ(v)
+            if len(sv) <= 1:
+                continue
+            part = class_partition(g, sv)
+            if part.k_meeting != 1:
+                cls_of = {w: i for i, c in enumerate(part.classes) for w in c}
+                groups = {}
+                for u in sv:
+                    key = cls_of[g.succ(u)[0]] if g.succ(u) else ("lone", u)
+                    groups.setdefault(key, []).append(u)
+                return False, (v, tuple(tuple(c) for c in groups.values()))
+    return True, None
+
+
+@pytest.mark.parametrize("unique_minimal", [True, False])
+def test_uniform_closure_is_the_partition_definition(unique_minimal):
+    """Verdict and witness of `is_uniform` equal the class-partition
+    definition on random graphs, some with childless vertices."""
+    verdicts = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = random_layered_graph(rng, max_levels=5, max_width=5, unique_minimal=unique_minimal)
+        if seed % 3 == 0:
+            childless = {v for v in g.positive_vertices() if rng.random() < 0.2}
+            g = build_graph(g.levels, [e for e in g.edges if e[0] not in childless])
+        assert is_uniform(g) == _uniform_by_partitions(g), seed
+        verdicts.add(is_uniform(g)[0])
+    assert verdicts == {True, False}
+
+
 def _down_up_connected(g, sv):
     """BFS on S(v) with x ~ x' when S(x) and S(x') intersect."""
     sv = list(sv)
@@ -167,7 +203,7 @@ def _down_up_connected(g, sv):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_uniform_oracle_agreement(seed):
-    # the class-partition count of is_uniform against down-up connectivity
+    # the verdict of is_uniform against down-up connectivity
     g = random_layered_graph(random.Random(seed))
     linked = all(
         _down_up_connected(g, g.succ(v))
@@ -370,16 +406,9 @@ def test_isomorphism_search_respects_budget(boolean4, monkeypatch):
         ),
         # (3 + 1) * (9 + 1) cells of the grA dimension counts
         (functools.partial(gr_hilbert_table, build_boolean(3), 3, 9), 40, "grA count cells"),
-        # the top vertex has 2 * 2 three-vertex paths, and rewrites reach
-        # no other word
-        (
-            functools.partial(is_quadratic_to_degree, build_complete_layered([1, 2, 2, 1]), 3),
-            4,
-            r"paths of bidegree \(3,6\)",
-        ),
         (functools.partial(is_atomic_lattice, build_boolean(3)), 64, "vertex pairs"),
     ],
-    ids=["boolean4", "subspace23", "complete134", "e_tilde", "grA_cells", "paths", "atomic"],
+    ids=["boolean4", "subspace23", "complete134", "e_tilde", "grA_cells", "atomic"],
 )
 def test_counts_respect_budget(build, count, what, monkeypatch):
     # each count is taken before what it counts is built

@@ -443,6 +443,44 @@ def test_inverse_tests_the_residue():
     assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
 
 
+int_rows = st.integers(1, 5).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols), min_size=1, max_size=5
+    )
+)
+
+
+@given(int_rows, int_rows)
+@settings(max_examples=100, deadline=None)
+def test_integral_fractions_and_ints_give_one_subspace(m, m2):
+    """Over Q an integral rational is an int in entry rows: the spans,
+    kernels and intersections of int rows and of the same values as
+    `Fraction`s are equal, with equal keys and hashes."""
+    ncols = len(m[0])
+    fractions = [[Fraction(x) for x in row] for row in m]
+    pairs = [
+        (span(m, ncols, QQ), span(fractions, ncols, QQ)),
+        (left_kernel(m, QQ), left_kernel(fractions, QQ)),
+        (kernel(m, ncols, QQ), kernel(fractions, ncols, QQ)),
+    ]
+    if len(m2[0]) == ncols:
+        other = span(m2, ncols, QQ)
+        pairs.append((other.intersect(pairs[0][0]), other.intersect(pairs[0][1])))
+    for ints, fracs in pairs:
+        # the same rows with every value a Fraction
+        boxed = Subspace(
+            QQ, ints.ambient_dim, tuple(tuple((c, Fraction(x)) for c, x in r) for r in ints.rows)
+        )
+        for other in (fracs, boxed):
+            assert ints == other
+            assert ints.key() == other.key()
+            assert hash(ints) == hash(other) and hash(ints.key()) == hash(other.key())
+    entries = QQ.entries([Fraction(2), Fraction(1, 2), 0, Fraction(0), -3, True])
+    assert entries == {0: 2, 1: Fraction(1, 2), 4: -3, 5: 1}
+    assert [type(x) for x in entries.values()] == [int, Fraction, int, int]
+    assert type(QQ.inv(Fraction(1, 3))) is int and type(QQ.inv(2)) is Fraction
+
+
 def test_ragged_matrices_raise():
     # a ragged matrix has no column count: every entry point that takes
     # rows refuses it instead of truncating or indexing past a row
