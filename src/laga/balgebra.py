@@ -28,6 +28,7 @@ from .graphs import ClassPartition, LayeredGraph, V, class_partition, is_uniform
 from .gralgebra import HilbertTable, _path_counts, _vertex_paths_from, gr_hilbert_table
 from .linalg import (
     Subspace,
+    _dense,
     _within_budget,
     full_space,
     identity,
@@ -247,25 +248,23 @@ def degree2_product(g: LayeredGraph, n: int, x, y, field: FieldSpec = QQ) -> tup
         )
     if n == 1:
         return ()
-    out = [field.zero] * _product_blocks(g, n)[1]
-    for k, c in _product_entries(g, n, enumerate(field.vector(x)), field.vector(y), field):
-        out[k] = c
-    return tuple(out)
+    entries = _product_entries(g, n, enumerate(field.vector(x)), field.entries(y), field)
+    return tuple(_dense(entries, _product_blocks(g, n)[1], field))
 
 
-def _product_entries(g: LayeredGraph, n: int, x_entries, y, field: FieldSpec):
+def _product_entries(g: LayeredGraph, n: int, x_entries, y: dict, field: FieldSpec):
     """The nonzero entries (column, value) of `degree2_product`, for x given
     as (index, value) pairs, in column order when those come in index
-    order, and y dense; both in the field.  Over Q the values are the
-    products as they come, ints when x and y hold ints."""
+    order, and y a mapping {index: value} that may omit zeros, all in the
+    field; over Q the products as they come, ints when x and y hold ints."""
     blocks, p = _product_blocks(g, n)[0], field.p
     for v, a in x_entries:
         start, succ = blocks[v]
         if a and len(succ) > 1:
-            y0 = y[succ[0]]
+            y0 = y.get(succ[0], 0)
             for k, s in enumerate(succ[1:], start):
-                if y[s] != y0:
-                    c = a * (y[s] - y0)
+                if (b := y.get(s, 0)) != y0:
+                    c = a * (b - y0)
                     yield k, c if p is None else c % p
 
 
@@ -284,14 +283,13 @@ def _product_blocks(g: LayeredGraph, n: int):
 def kappa_kernel(g: LayeredGraph, a: BElement) -> Subspace:
     """Oracle path: kernel of left multiplication into the degree-2
     component, computed from structure constants: row j is a times the
-    unit vector e_j, as the entry dict of `_product_entries`."""
+    unit vector e_j = {j: 1}, as the entry dict of `_product_entries`."""
     _check_kappa_element(g, a)
     field, n, d = a.field, a.level, g.levels[a.level - 1]
     if n == 1:
         return full_space(d, field)  # level 1 multiplies into nothing
     x = field.entries(a.coords).items()
-    units = ([0] * j + [1] + [0] * (d - j - 1) for j in range(d))
-    return left_kernel([dict(_product_entries(g, n, x, y, field)) for y in units], field)
+    return left_kernel([dict(_product_entries(g, n, x, {j: 1}, field)) for j in range(d)], field)
 
 
 def k_stats(g: LayeredGraph, vertex_set):

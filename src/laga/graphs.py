@@ -20,9 +20,10 @@ from .errors import (
     MixedLevels,
     MultipleMinimal,
     UnsupportedField,
+    VerificationFailed,
 )
 from .fields import GF, _is_prime
-from .linalg import _within_budget, enumeration_budget, span
+from .linalg import _within_budget, enumerate_rays, enumeration_budget, span
 
 
 class V(NamedTuple):
@@ -219,22 +220,25 @@ def _rref_matrices(q: int, n: int, k: int):
 
 
 def build_subspace_lattice(q: int, n: int) -> LayeredGraph:
-    """Lattice of subspaces of F_q^n; level i holds the i-dim subspaces
-    keyed (and ordered) by canonical RREF basis matrices."""
+    """Lattice of subspaces of F_q^n; level k holds the k-dim subspaces
+    keyed (and ordered) by canonical RREF basis matrices.  A k-subspace
+    W lists its covers directly: for each ray c of the dual of F_q^k,
+    led by c_l = 1, the rows W_i - c_i W_l (i != l) span the hyperplane
+    {a.W : a.c = 0}, found by its RREF key; the budget counts edges."""
     if q < 2 or not _is_prime(q):
         raise UnsupportedField(f"q = {q}: only prime fields are supported")
-    sizes = [gaussian_binomial(n, k, q) for k in range(n + 1)]
-    tests = sum(a * b for a, b in zip(sizes, sizes[1:]))
-    _within_budget(tests, f"containment tests for the subspace lattice of F_{q}^{n}")
+    edge_count = sum(gaussian_binomial(n, k, q) * gaussian_binomial(k, 1, q) for k in range(n + 1))
+    _within_budget(edge_count, f"edges of the subspace lattice of F_{q}^{n}")
     fld = GF(q)
     by_level = [sorted(_rref_matrices(q, n, k)) for k in range(n + 1)]
     edges = []
     for k in range(1, n + 1):
-        for j, upper in enumerate(by_level[k]):
-            space = span(upper, n, fld)
-            for j2, lower in enumerate(by_level[k - 1]):
-                if all(space.contains_vector(row) for row in lower):
-                    edges.append((V(k, j), V(k - 1, j2)))
+        index = {m: V(k - 1, j) for j, m in enumerate(by_level[k - 1])}
+        rays = [(c, c.index(1)) for c in enumerate_rays(fld, k)]
+        for j, w in enumerate(by_level[k]):
+            for c, lead in rays:
+                rows = ([x - c[i] * y for x, y in zip(w[i], w[lead])] for i in range(k) if i != lead)
+                edges.append((V(k, j), index[span(rows, n, fld).basis]))
     labels = {
         V(k, j): "/".join("".join(map(str, row)) for row in m) or "0"
         for k in range(n + 1)
@@ -467,7 +471,8 @@ def are_isomorphic(g1: LayeredGraph, g2: LayeredGraph) -> Optional[dict[V, V]]:
     are drawn from the neighbors of a mapped neighbor's image and pruned
     by (out-degree, in-degree) profile and by the images of its mapped
     neighbors.  Every candidate assignment counts as one search node
-    against `LAGA_BUDGET`.
+    against `LAGA_BUDGET`.  A map found that does not carry the edge
+    set exactly raises `VerificationFailed`.
     """
     if g1.levels != g2.levels:
         return None
@@ -554,8 +559,9 @@ def are_isomorphic(g1: LayeredGraph, g2: LayeredGraph) -> Optional[dict[V, V]]:
         else:
             return None
     # post-hoc certificate: the map must carry the edge set exactly
-    mapped_edges = {(mapping[t], mapping[h]) for t, h in g1.edges}
-    assert mapped_edges == set(g2.edges)
+    mapped = {(mapping[t], mapping[h]) for t, h in g1.edges}
+    if mapped != g2.edges:
+        raise VerificationFailed(f"isomorphism certificate: {len(mapped ^ g2.edges)} edges differ")
     return dict(mapping)
 
 

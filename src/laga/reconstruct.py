@@ -127,24 +127,22 @@ class AlgebraView:
         return tuple(field.combine([c for c, _ in pairs], cells))
 
 
-def _scramble_maps(g: LayeredGraph, field: FieldSpec, rng) -> dict[int, list[list]]:
+def _scramble_maps(g: LayeredGraph, field: FieldSpec, rng) -> dict[int, tuple]:
     """Random per-level monomial maps, drawn level by level: a uniformly
     random permutation of the vertex basis with a uniformly random
-    nonzero scalar on each vector.  Any invertible maps present the same
-    algebra, so nothing needs certifying.  A view then hides a
-    relabelling and a rescaling of every degree-1 level, which need not
-    be a graph automorphism.  Dense random maps would hide more, but
-    recovery on them is 3 to 10 times slower: medians over scramble
-    seeds 1-5 of about 3x on Boolean 5 over F_5, 6x on Boolean 6 over
-    F_3 and 8-10x on the subspace lattice of F_3^3."""
+    nonzero scalar on each vector.  Level n's map is (vertices, scalars):
+    its basis vector i is scalars[i] times the vertex vertices[i].  Any
+    invertible maps present the same algebra, so nothing needs
+    certifying.  A view then hides a relabelling and a rescaling of every
+    degree-1 level, which need not be a graph automorphism.  Dense random
+    maps would hide more, but recovery on them is 3 to 10 times slower:
+    medians over scramble seeds 1-5 of about 3x on Boolean 5 over F_5, 6x
+    on Boolean 6 over F_3 and 8-10x on the subspace lattice of F_3^3."""
     nonzero = range(1, field.p) if field.p else (1, 2, 3, -1, -2)
     maps = {}
     for n in range(1, g.top_level + 1):
-        d = g.levels[n]
-        mat = [[field.zero] * d for _ in range(d)]
-        for i, j in enumerate(rng.sample(range(d), d)):
-            mat[i][j] = field(rng.choice(nonzero))
-        maps[n] = mat
+        vertices = rng.sample(range(g.levels[n]), g.levels[n])
+        maps[n] = vertices, [field(rng.choice(nonzero)) for _ in vertices]
     return maps
 
 
@@ -157,7 +155,7 @@ def algebra_view(
     if not uniform:
         raise NotUniform(f"witness: {witness}")
     if scramble_seed is None:
-        maps = {n: identity(g.levels[n], field) for n in range(1, g.top_level + 1)}
+        maps = {n: (range(d), [field.one] * d) for n, d in enumerate(g.levels) if n}
     else:
         maps = _scramble_maps(g, field, random.Random(scramble_seed))
     levels = [_nonzero_cells(g, n, maps[n], maps[n - 1], field) for n in range(2, g.top_level + 1)]
@@ -167,20 +165,18 @@ def algebra_view(
 
 
 def _nonzero_cells(g: LayeredGraph, n: int, xs, ys, field: FieldSpec):
-    """The nonzero cells of level n in the bases xs of level n and ys of
-    level n-1, as the (j, cell) pairs of each row, and their width.
-
-    A product is zero off edges, so only the cells (i, j) where xs[i] and
-    ys[j] are nonzero at the ends of some edge are multiplied out, and
-    one that still comes out zero, as at a vertex with one successor, is
-    dropped."""
-    # the columns j with ys[j] nonzero at each level-(n-1) vertex
-    cols_at = [[j for j, y in enumerate(ys) if y[w]] for w in range(g.levels[n - 1])]
+    """The nonzero cells of level n in the monomial bases xs of level n
+    and ys of level n-1, each given as (vertices, scalars), as the
+    (j, cell) pairs of each row, and their width.  A product is zero off
+    edges, so a row multiplies out only the columns whose vertex is a
+    successor of its own, and drops a cell that still comes out zero, as
+    at a vertex with one successor."""
+    units = [{w: b} for w, b in zip(*ys)]  # each column's vector, as a mapping
+    col_of = {w: j for j, w in enumerate(ys[0])}
     rows = []
-    for x in xs:
-        support = [(v, a) for v, a in enumerate(x) if a]
-        live = {j for v, _ in support for w in g.succ(V(n, v)) for j in cols_at[w.index]}
-        cells = ((j, tuple(_product_entries(g, n, support, ys[j], field))) for j in sorted(live))
+    for v, a in zip(*xs):
+        live = sorted(col_of[w.index] for w in g.succ(V(n, v)))
+        cells = ((j, tuple(_product_entries(g, n, [(v, a)], units[j], field))) for j in live)
         rows.append(tuple((j, cell) for j, cell in cells if cell))
     return tuple(rows), _product_blocks(g, n)[1] if any(rows) else 0
 

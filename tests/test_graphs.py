@@ -2,7 +2,11 @@ import functools
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +17,13 @@ from laga import (
     DimensionMismatch,
     EdgeLevelMismatch,
     EmptySuccessor,
+    GF,
     LevelMismatch,
     MixedLevels,
     MultipleMinimal,
     UnsupportedField,
     V,
+    VerificationFailed,
     are_isomorphic,
     build_boolean,
     build_complete_layered,
@@ -41,6 +47,8 @@ from laga import (
     to_json,
     upper_part,
 )
+from laga.graphs import _pred_map, _rref_matrices, _succ_map
+from laga.linalg import span
 
 
 def test_boolean_level_sizes():
@@ -68,6 +76,42 @@ def test_subspace_plane_out_degree():
     g = build_subspace_lattice(2, 3)
     for v in g.level_vertices(2):
         assert g.out_degree(v) == 3  # each plane contains q + 1 lines
+
+
+def _pairwise_subspace_lattice(q, n):
+    """The subspace lattice built by testing every (k, k-1) pair of
+    subspaces for containment: the oracle the cover build is held to."""
+    fld = GF(q)
+    by_level = [sorted(_rref_matrices(q, n, k)) for k in range(n + 1)]
+    edges = []
+    for k in range(1, n + 1):
+        for j, upper in enumerate(by_level[k]):
+            space = span(upper, n, fld)
+            for j2, lower in enumerate(by_level[k - 1]):
+                if all(space.contains_vector(row) for row in lower):
+                    edges.append((V(k, j), V(k - 1, j2)))
+    labels = {
+        V(k, j): "/".join("".join(map(str, row)) for row in m) or "0"
+        for k in range(n + 1)
+        for j, m in enumerate(by_level[k])
+    }
+    return edges, labels
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (2, 4), (3, 4), (5, 3), (7, 3), (2, 5)])
+def test_subspace_covers_match_pairwise_containment(q, n):
+    edges, labels = _pairwise_subspace_lattice(q, n)
+    g = build_subspace_lattice(q, n)
+    assert g.edges == frozenset(edges)
+    assert dict(g.labels) == labels
+
+
+def test_subspace_build_past_budget_enumerates_nothing(monkeypatch):
+    # 2.1e8 edges for F_2^9: refused on the count, before any subspace is
+    # listed
+    monkeypatch.delenv("LAGA_BUDGET", raising=False)
+    with pytest.raises(BudgetExceeded, match="edges of the subspace lattice of F_2\\^9"):
+        build_subspace_lattice(2, 9)
 
 
 def test_subspace_requires_prime_order():
@@ -383,6 +427,46 @@ def test_isomorphism_respects_edges_randomized():
     assert {(mapping[t], mapping[h]) for t, h in g.edges} == set(g2.edges)
 
 
+def _miscached_pair():
+    """g1, and a g2 whose cached successor and predecessor maps are g1's:
+    g2 holds one edge more than its maps, so the search, which reads the
+    maps, finds a map that misses that edge."""
+    edges = [((2, 0), (1, 0)), ((1, 0), (0, 0)), ((1, 1), (0, 0))]
+    g1 = build_graph([1, 2, 1], edges)
+    g2 = build_graph([1, 2, 1], edges + [((2, 0), (1, 1))])
+    for cached in (_succ_map, _pred_map):
+        g2._cache[cached.__wrapped__,] = cached(g1)
+    return g1, g2
+
+
+def test_isomorphism_certificate_is_checked():
+    with pytest.raises(VerificationFailed, match="1 edges differ"):
+        are_isomorphic(*_miscached_pair())
+
+
+def test_isomorphism_certificate_is_checked_under_optimize():
+    # python -O strips assert statements, and must not strip this check
+    code = (
+        "from test_graphs import _miscached_pair\n"
+        "from laga import VerificationFailed, are_isomorphic\n"
+        "try:\n"
+        "    are_isomorphic(*_miscached_pair())\n"
+        "except VerificationFailed:\n"
+        "    print('refused')\n"
+    )
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "refused\n"
+
+
 def test_isomorphism_search_respects_budget(boolean4, monkeypatch):
     # Boolean 4 maps without backtracking: one node per vertex
     monkeypatch.setenv("LAGA_BUDGET", "15")
@@ -396,7 +480,7 @@ def test_isomorphism_search_respects_budget(boolean4, monkeypatch):
     "build, count, what",
     [
         (lambda: build_boolean(4), 32, "edges of the Boolean lattice of rank 4"),
-        (lambda: build_subspace_lattice(2, 3), 63, "containment tests for the subspace"),
+        (lambda: build_subspace_lattice(2, 3), 35, "edges of the subspace lattice"),
         (lambda: build_complete_layered([1, 3, 4]), 15, "edges of the complete graph"),
         # 3 * 3 * 3 * 2 products of the factors (x - y) and, last, x
         (

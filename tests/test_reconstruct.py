@@ -5,6 +5,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -56,7 +57,7 @@ from laga import (
     view_from_json_dict,
     view_to_json_dict,
 )
-from laga.linalg import enumerate_rays, identity, transpose
+from laga.linalg import enumerate_rays, identity
 from laga.reconstruct import (
     _CLOSURE_PASSES_PER_SET,
     _KERNEL_DRAWS_PER_RAY,
@@ -170,9 +171,9 @@ def test_scramble_is_a_real_change_of_basis(spec, p, seed):
     # cells (i, j); a relabelling and rescaling of degree 1 breaks one
     g = _lattice(spec)
     field = GF(p) if p else QQ
-    for mat in _scramble_maps(g, field, random.Random(seed)).values():
-        assert all(sum(1 for c in row if c != 0) == 1 for row in mat)
-        assert all(sum(1 for c in col if c != 0) == 1 for col in transpose(mat))
+    for n, (vertices, scalars) in _scramble_maps(g, field, random.Random(seed)).items():
+        assert sorted(vertices) == list(range(g.levels[n]))
+        assert len(scalars) == g.levels[n] and all(c != 0 for c in scalars)
     plain = algebra_view(g, field)
     scrambled = algebra_view(g, field, scramble_seed=seed)
 
@@ -183,6 +184,20 @@ def test_scramble_is_a_real_change_of_basis(spec, p, seed):
         not relations(scrambled, n).contains_subspace(relations(plain, n))
         for n in range(2, g.top_level + 1)
     )
+
+
+def test_scramble_view_allocates_no_dense_maps():
+    # the subspace lattice of F_2^6 has levels up to 1,395 wide; the
+    # view's transient memory is its cells' work, not d x d maps
+    g = build_subspace_lattice(2, 6)
+    tracemalloc.start()
+    try:
+        view = algebra_view(g, GF(2), scramble_seed=1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert view.level_dims[3] == 1395
+    assert peak - held < 2_000_000
 
 
 def test_kappa_view_matches_combinatorial_on_plain(boolean3):
