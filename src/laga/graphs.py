@@ -221,10 +221,9 @@ def _rref_matrices(q: int, n: int, k: int):
 
 def build_subspace_lattice(q: int, n: int) -> LayeredGraph:
     """Lattice of subspaces of F_q^n; level k holds the k-dim subspaces
-    keyed (and ordered) by canonical RREF basis matrices.  A k-subspace
-    W lists its covers directly: for each ray c of the dual of F_q^k,
-    led by c_l = 1, the rows W_i - c_i W_l (i != l) span the hyperplane
-    {a.W : a.c = 0}, found by its RREF key; the budget counts edges."""
+    keyed (and ordered) by canonical RREF basis matrices.  Each ray c of
+    F_q^k, led by c_l = 1, gives a cover {a.W : a.c = 0} of a k-subspace
+    W, spanned by the rows W_i - c_i W_l and found by its RREF key."""
     if q < 2 or not _is_prime(q):
         raise UnsupportedField(f"q = {q}: only prime fields are supported")
     edge_count = sum(gaussian_binomial(n, k, q) * gaussian_binomial(k, 1, q) for k in range(n + 1))
@@ -235,9 +234,9 @@ def build_subspace_lattice(q: int, n: int) -> LayeredGraph:
     for k in range(1, n + 1):
         index = {m: V(k - 1, j) for j, m in enumerate(by_level[k - 1])}
         rays = [(c, c.index(1)) for c in enumerate_rays(fld, k)]
-        for j, w in enumerate(by_level[k]):
+        for j, basis in enumerate(by_level[k]):
             for c, lead in rays:
-                rows = ([x - c[i] * y for x, y in zip(w[i], w[lead])] for i in range(k) if i != lead)
+                rows = ([x - b * y for x, y in zip(row, basis[lead])] for row, b in zip(basis, c))
                 edges.append((V(k, j), index[span(rows, n, fld).basis]))
     labels = {
         V(k, j): "/".join("".join(map(str, row)) for row in m) or "0"
