@@ -610,6 +610,7 @@ def from_json_dict(data: dict) -> LayeredGraph:
         and isinstance(data.get("labels", {}), dict)
     ):
         raise DimensionMismatch("a graph is an object of int levels, edges, flags, labels")
+    _within_budget(sum(data["levels"]), "vertices of the graph")
     for edge in data["edges"]:
         pair = isinstance(edge, list) and len(edge) == 2
         if not (pair and _is_int_list(edge[0], 2) and _is_int_list(edge[1], 2)):

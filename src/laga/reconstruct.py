@@ -29,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .balgebra import BElement, _product_blocks, _product_entries
+from .balgebra import BElement, _product_entries
 from .errors import (
     DimensionMismatch,
     LevelMismatch,
@@ -49,6 +49,7 @@ from .graphs import (
     build_graph,
     build_subspace_lattice,
     gaussian_binomial,
+    is_non_nesting,
     is_uniform,
     memo,
 )
@@ -58,6 +59,7 @@ from .linalg import (
     _extend_echelon,
     _holds,
     _reduce,
+    _within_budget,
     enumerate_rays,
     full_space,
     identity,
@@ -94,15 +96,15 @@ class AlgebraView:
     (j, cell), j ascending, where the product of level-n basis vector i
     with level-(n-1) basis vector j is nonzero, with the nonzero entries
     of its quotient coordinates as the cell: (k, value) pairs, k
-    ascending.  Every other product is zero.  widths[n] is the number of
-    quotient coordinates, 0 where level n stores no cell.
-    Reconstruction code may consult nothing else.
+    ascending.  Every other product is zero.  Reconstruction code may
+    consult nothing else.  widths[n], the number of quotient coordinates,
+    is read off the cells: the products span the degree-2 component, so
+    it is one past the largest k, and 0 where level n stores no cell.
     """
 
     field: FieldSpec
     level_dims: tuple[int, ...]
     cells: tuple
-    widths: tuple[int, ...]
     plain: bool = False
     # the upper basis of each level, once computed (see `memo`)
     _cache: dict = dataclasses.field(
@@ -112,6 +114,13 @@ class AlgebraView:
     @property
     def top_level(self) -> int:
         return len(self.level_dims) - 1
+
+    @property
+    def widths(self) -> tuple[int, ...]:
+        return (0, 0) + tuple(
+            max((cell[-1][0] + 1 for row in self.cells[n] for _, cell in row), default=0)
+            for n in range(2, self.top_level + 1)
+        )
 
     def multiply(self, n: int, x, y) -> tuple:
         """Bilinear product of a level-n vector and a level-(n-1) vector,
@@ -158,19 +167,19 @@ def algebra_view(
         maps = {n: (range(d), [field.one] * d) for n, d in enumerate(g.levels) if n}
     else:
         maps = _scramble_maps(g, field, random.Random(scramble_seed))
-    levels = [_nonzero_cells(g, n, maps[n], maps[n - 1], field) for n in range(2, g.top_level + 1)]
-    cells = (None, None) + tuple(rows for rows, _ in levels)
-    widths = (0, 0) + tuple(width for _, width in levels)
-    return AlgebraView(field, (0,) + g.levels[1:], cells, widths, plain=scramble_seed is None)
+    cells = (None, None) + tuple(
+        _nonzero_cells(g, n, maps[n], maps[n - 1], field) for n in range(2, g.top_level + 1)
+    )
+    return AlgebraView(field, (0,) + g.levels[1:], cells, plain=scramble_seed is None)
 
 
-def _nonzero_cells(g: LayeredGraph, n: int, xs, ys, field: FieldSpec):
+def _nonzero_cells(g: LayeredGraph, n: int, xs, ys, field: FieldSpec) -> tuple:
     """The nonzero cells of level n in the monomial bases xs of level n
     and ys of level n-1, each given as (vertices, scalars), as the
-    (j, cell) pairs of each row, and their width.  A product is zero off
-    edges, so a row multiplies out only the columns whose vertex is a
-    successor of its own, and drops a cell that still comes out zero, as
-    at a vertex with one successor."""
+    (j, cell) pairs of each row.  A product is zero off edges, so a row
+    multiplies out only the columns whose vertex is a successor of its
+    own, and drops a cell that still comes out zero, as at a vertex with
+    one successor."""
     units = [{w: b} for w, b in zip(*ys)]  # each column's vector, as a mapping
     col_of = {w: j for j, w in enumerate(ys[0])}
     rows = []
@@ -178,7 +187,7 @@ def _nonzero_cells(g: LayeredGraph, n: int, xs, ys, field: FieldSpec):
         live = sorted(col_of[w.index] for w in g.succ(V(n, v)))
         cells = ((j, tuple(_product_entries(g, n, [(v, a)], units[j], field))) for j in live)
         rows.append(tuple((j, cell) for j, cell in cells if cell))
-    return tuple(rows), _product_blocks(g, n)[1] if any(rows) else 0
+    return tuple(rows)
 
 
 def kappa_view(view: AlgebraView, n: int, coords) -> Subspace:
@@ -420,20 +429,18 @@ def _nonnesting_core(view: AlgebraView):
         raise ReconstructionFailed("no levels above 1 to recover")
     bases = {i: upper_vertex_like_basis(view, i) for i in range(2, top + 1)}
     for i in range(2, top + 1):
-        basis = bases[i]
-        d_prev = view.level_dims[i - 1]
-        for pos, k in enumerate(basis.ks):
-            if d_prev - k + 1 <= 1:
-                raise NonNestingViolated(
-                    f"level {i} vector {pos} has successor count <= 1"
-                )
-        for a, b in itertools.permutations(range(len(basis.vectors)), 2):
-            # nested kernels of equal dimension are equal
-            ka, kb = basis.kappas[a], basis.kappas[b]
-            if ka == kb or ka.dim > kb.dim and ka.contains_subspace(kb):
-                raise NonNestingViolated(
-                    f"nested successor sets at level {i} (vectors {a}, {b})"
-                )
+        for pos, k in enumerate(bases[i].ks):
+            if view.level_dims[i - 1] - k + 1 <= 1:
+                raise NonNestingViolated(f"level {i} vector {pos} has successor count <= 1")
+    # above level 2 the lower basis vectors are scaled hidden vertices, so
+    # kappa(a) contains kappa(b) just when succ(a) lies in succ(b): nesting
+    # there is read off the recovered graph, in the same pair order
+    kappas = bases[2].kappas
+    for a, b in itertools.permutations(range(len(kappas)), 2):
+        # nested kernels of equal dimension are equal
+        ka, kb = kappas[a], kappas[b]
+        if ka == kb or ka.dim > kb.dim and ka.contains_subspace(kb):
+            raise NonNestingViolated(f"nested successor sets at level 2 (vectors {a}, {b})")
     edges = []
     for i in range(3, top + 1):
         upper, lower = bases[i], bases[i - 1]
@@ -447,6 +454,11 @@ def _nonnesting_core(view: AlgebraView):
                 )
             edges += [(V(i - 2, a), V(i - 3, j)) for j in succ]
     graph = build_graph(tuple(view.level_dims[2:]), edges)
+    if nested := is_non_nesting(graph)[1]:
+        p, q = nested
+        raise NonNestingViolated(
+            f"nested successor sets at level {p.level + 2} (vectors {p.index}, {q.index})"
+        )
     return graph, bases
 
 
@@ -585,29 +597,16 @@ def _scalar_from_json(field: FieldSpec, raw):
         raise DimensionMismatch(f"view entry {raw!r} is not in {field.describe()}") from exc
 
 
-def _cell_to_json(cell, width: int, field: FieldSpec) -> list:
-    """The cell written dense: ints as ints, rationals as strings."""
-    dense = _dense(cell, width, field)
-    return dense if field.p is not None else [str(c) for c in dense]
-
-
-def _cell_from_json(field: FieldSpec, cell) -> tuple:
-    """The nonzero entries of a dense JSON cell, as (k, value) pairs.  Over
-    F_p a cell of ints is reduced whole; any other cell goes entry by
-    entry, which raises on a bad entry."""
-    if field.p is not None and set(map(type, cell)) <= {int}:
-        return tuple((k, r) for k, c in enumerate(cell) if (r := c % field.p))
-    return tuple((k, r) for k, c in enumerate(cell) if (r := _scalar_from_json(field, c)))
-
-
 def view_to_json_dict(view: AlgebraView) -> dict:
-    """The view as JSON: per level n >= 2, the nonzero cells, each written
-    dense, as entries [i, j, cell] with (i, j) strictly increasing."""
+    """The view as JSON: per level n >= 2, each nonzero entry of each cell
+    as [i, j, k, value], (i, j, k) strictly increasing, ints as ints and
+    rationals as strings."""
     cells = {
         str(n): [
-            [i, j, _cell_to_json(c, view.widths[n], view.field)]
+            [i, j, k, _scalar_to_json(x)]
             for i, row in enumerate(view.cells[n])
-            for j, c in row
+            for j, cell in row
+            for k, x in cell
         ]
         for n in range(2, view.top_level + 1)
     }
@@ -619,36 +618,36 @@ def view_to_json_dict(view: AlgebraView) -> dict:
     }
 
 
-def _level_from_json(field: FieldSpec, entries, n: int, dims: tuple):
-    """The rows of (j, cell) pairs that the JSON entries of level n
-    describe, without the cells that are zero in the field, and the
-    width of the cells kept."""
+def _level_from_json(field: FieldSpec, entries, n: int, dims: tuple) -> tuple:
+    """The rows of (j, cell) pairs that the JSON entries [i, j, k, value]
+    of level n describe, without the entries that are zero in the field.
+    The products of level n lie in a quotient of V_n (x) V_(n-1), so k is
+    below d_n * d_(n-1)."""
     if not isinstance(entries, list):
         raise DimensionMismatch(f"level {n} cells are not a list")
     d, d_prev = dims[n], dims[n - 1]
-    rows: list = [[] for _ in range(d)]
-    last, widths = (-1, -1), set()
+    rows: list = [{} for _ in range(d)]
+    last = (-1, -1, -1)
     for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)):
-            raise DimensionMismatch(f"level {n} entry {entry!r} is not [i, j, cell]")
-        i, j, cell = entry
-        if not (type(i) is int and type(j) is int and 0 <= i < d and 0 <= j < d_prev):
-            raise DimensionMismatch(f"level {n} cell ({i!r}, {j!r}) is outside {d} x {d_prev}")
-        if (i, j) <= last:
-            raise DimensionMismatch(f"level {n} cell ({i}, {j}) is repeated or out of order")
-        last = (i, j)
-        widths.add(len(cell))
-        if pairs := _cell_from_json(field, cell):
-            rows[i].append((j, pairs))
-    if len(widths) > 1:
-        raise DimensionMismatch(f"level {n} has cells of widths {sorted(widths)}")
-    width = widths.pop() if any(rows) else 0
-    return tuple(map(tuple, rows)), width
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise DimensionMismatch(f"level {n} entry {entry!r} is not [i, j, k, value]")
+        i, j, k, raw = entry
+        if not (_is_int_list(entry[:3]) and 0 <= i < d and 0 <= j < d_prev and 0 <= k < d * d_prev):
+            raise DimensionMismatch(
+                f"level {n} entry ({i!r}, {j!r}, {k!r}) is outside {d} x {d_prev} x {d * d_prev}"
+            )
+        if (i, j, k) <= last:
+            raise DimensionMismatch(f"level {n} entry ({i}, {j}, {k}) is repeated or out of order")
+        last = (i, j, k)
+        if x := _scalar_from_json(field, raw):
+            rows[i].setdefault(j, []).append((k, x))
+    return tuple(tuple((j, tuple(cell)) for j, cell in row.items()) for row in rows)
 
 
 def view_from_json_dict(data: dict) -> AlgebraView:
     """The view a `view_to_json_dict` dict describes; a dict of another
-    shape raises DimensionMismatch."""
+    shape raises DimensionMismatch, and one of more basis vectors than
+    `LAGA_BUDGET` raises BudgetExceeded before anything is allocated."""
     if not isinstance(data, dict):
         raise DimensionMismatch("a view is a JSON object")
     for key in ("field", "level_dims", "cells"):
@@ -662,6 +661,7 @@ def view_from_json_dict(data: dict) -> AlgebraView:
         raise DimensionMismatch(
             f"view level_dims {list(dims)} must be non-negative, with entry 0 equal to 0"
         )
+    _within_budget(sum(dims), "basis vectors of the view")
     plain = data.get("plain", False)
     if not isinstance(plain, bool):
         raise DimensionMismatch(f"view plain flag {plain!r} is not true or false")
@@ -669,10 +669,8 @@ def view_from_json_dict(data: dict) -> AlgebraView:
     levels = [str(n) for n in range(2, len(dims))]
     if not isinstance(raw, dict) or set(raw) != set(levels):
         raise DimensionMismatch(f"view cells are not an object with keys {levels}")
-    parsed = [_level_from_json(field, raw[str(n)], n, dims) for n in range(2, len(dims))]
-    cells = (None, None) + tuple(rows for rows, _ in parsed)
-    widths = (0, 0) + tuple(width for _, width in parsed)
-    return AlgebraView(field, dims, cells, widths, plain)
+    cells = tuple(_level_from_json(field, raw[str(n)], n, dims) for n in range(2, len(dims)))
+    return AlgebraView(field, dims, (None, None) + cells, plain)
 
 
 def reconstruction_report(

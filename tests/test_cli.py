@@ -223,16 +223,16 @@ def _edited(data, path, value=None):
         ("view", ("cells", "9"), []),
         ("view", ("cells", "3"), None),
         ("view", ("cells", "2", 0, 2), None),
-        ("view", ("cells", "2", 0, 2, 0), None),
+        ("view", ("cells", "2", 0, 3), None),
         ("view", ("cells",), []),
         ("view", ("field",), "x"),
         ("view", ("level_dims",), 5),
-        ("view", ("cells", "2", 0, 2, 0), [1]),
+        ("view", ("cells", "2", 0, 3), [1]),
         ("view", (), [1, 2]),
         ("view", ("plain",), "false"),
-        ("qview", ("cells", "2", 0, 2, 0), "1/0"),
-        ("qview", ("cells", "2", 0, 2, 0), "one"),
-        ("view", ("cells", "2", 0, 2, 0), "1/2"),
+        ("qview", ("cells", "2", 0, 3), "1/0"),
+        ("qview", ("cells", "2", 0, 3), "one"),
+        ("view", ("cells", "2", 0, 3), "1/2"),
         ("view", ("cells",), None),
         ("view", ("level_dims",), None),
         ("view", ("cells", "2", 0, 0), 3),
@@ -299,6 +299,25 @@ def test_malformed_json_exits_three(kind, path, value, tmp_path, capsys):
     bad = _graph_file(tmp_path, "bad.json", json.dumps(_edited(data, path, value)))
     assert main(verb[:1] + [bad] + verb[1:]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb, data",
+    [
+        (
+            ["reconstruct", "--family", "boolean", "-n", "3"],
+            {"field": 3, "level_dims": [0, 1, 100_000], "cells": {"2": []}},
+        ),
+        (["info"], {"levels": [1, 100_000], "edges": [], "flags": {"positive_outdegree": True}}),
+    ],
+    ids=["view", "graph"],
+)
+def test_json_past_budget_exits_three(verb, data, tmp_path, capsys, monkeypatch):
+    # the sizes a file claims are counted before anything is built for them
+    monkeypatch.setenv("LAGA_BUDGET", "1000")
+    big = _graph_file(tmp_path, "big.json", json.dumps(data))
+    assert main(verb[:1] + [big] + verb[1:]) == 3
+    assert "100001" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

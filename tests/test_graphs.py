@@ -491,8 +491,10 @@ def test_isomorphism_search_respects_budget(boolean4, monkeypatch):
         # (3 + 1) * (9 + 1) cells of the grA dimension counts
         (functools.partial(gr_hilbert_table, build_boolean(3), 3, 9), 40, "grA count cells"),
         (functools.partial(is_atomic_lattice, build_boolean(3)), 64, "vertex pairs"),
+        # a JSON graph's level sizes come from outside the program
+        (functools.partial(from_json, '{"levels": [1, 3, 3, 1], "edges": []}'), 8, "vertices"),
     ],
-    ids=["boolean4", "subspace23", "complete134", "e_tilde", "grA_cells", "atomic"],
+    ids=["boolean4", "subspace23", "complete134", "e_tilde", "grA_cells", "atomic", "json"],
 )
 def test_counts_respect_budget(build, count, what, monkeypatch):
     # each count is taken before what it counts is built

@@ -18,6 +18,7 @@ from laga import (
     QQ,
     AlgebraView,
     BElement,
+    BudgetExceeded,
     DimensionMismatch,
     LevelMismatch,
     NonNestingViolated,
@@ -75,14 +76,6 @@ def _unit(d, i):
     return tuple(F3.one if j == i else F3.zero for j in range(d))
 
 
-def _dense_cell(view, n, cell):
-    """A stored cell of level n as its dense tuple of quotient coordinates."""
-    dense = [view.field.zero] * view.widths[n]
-    for k, x in cell:
-        dense[k] = x
-    return tuple(dense)
-
-
 def _sparse_cells(products):
     """Rows of dense products as the view stores them: (j, cell) for the
     nonzero products, each cell its (k, value) pairs."""
@@ -95,11 +88,12 @@ def _sparse_cells(products):
 def _dense(view, n):
     """The level-n product of every pair of basis vectors, the zero ones
     included, rebuilt from the stored cells."""
-    zero = (view.field.zero,) * view.widths[n]
-    dense = [[zero] * view.level_dims[n - 1] for _ in range(view.level_dims[n])]
+    width, zero = view.widths[n], view.field.zero
+    dense = [[(zero,) * width] * view.level_dims[n - 1] for _ in range(view.level_dims[n])]
     for i, row in enumerate(view.cells[n]):
         for j, cell in row:
-            dense[i][j] = _dense_cell(view, n, cell)
+            entries = dict(cell)
+            dense[i][j] = tuple(entries.get(k, zero) for k in range(width))
     return dense
 
 
@@ -533,6 +527,20 @@ def test_nonnesting_rejects_nested_views(nested_graph):
         reconstruct_nonnesting(algebra_view(nested_graph))
 
 
+def test_nonnesting_rejects_views_nested_above_level_two():
+    # level-2 successor sets {0, 1}, {0, 2}, {1, 2} do not nest; at level
+    # 3, {0, 1} lies in {0, 1, 2}, which the recovered graph shows
+    edges = [((1, i), (0, 0)) for i in range(3)]
+    edges += [((2, v), (1, u)) for v, s in enumerate([(0, 1), (0, 2), (1, 2)]) for u in s]
+    edges += [((3, v), (2, u)) for v, s in enumerate([(0, 1), (0, 1, 2)]) for u in s]
+    g = build_graph([1, 3, 3, 2], edges)
+    assert is_uniform(g)[0]
+    message = r"nested successor sets at level 3 \(vectors 0, 1\)"
+    for seed in (None, 1, 2):
+        with pytest.raises(NonNestingViolated, match=message):
+            reconstruct_nonnesting(algebra_view(g, F3, scramble_seed=seed))
+
+
 def test_nonnesting_rejects_a_vertex_with_one_successor():
     # uniform, but the level-2 vertex covers one vertex, so its degree-2
     # component is zero: the view stores no cell there
@@ -596,7 +604,9 @@ def _random_basis_view(g, field, seed):
         products = [[degree2_product(g, n, x, y, field) for y in maps[n - 1]] for x in maps[n]]
         cells.append(_sparse_cells(products))
         widths.append(len(products[0][0]) if any(cells[-1]) else 0)
-    return AlgebraView(field, (0,) + g.levels[1:], tuple(cells), tuple(widths))
+    view = AlgebraView(field, (0,) + g.levels[1:], tuple(cells))
+    assert view.widths == tuple(widths)
+    return view
 
 
 @pytest.mark.parametrize("n, p, seed", [(6, 3, 1), (6, 5, 3), (6, 7, 3), (7, 3, 1)])
@@ -663,8 +673,9 @@ def test_recovery_ignores_the_output_basis(spec, p, seed, change):
         mat = _random_invertible(view.widths[n], field, rng)
         products = [[field.combine(cell, mat) for cell in row] for row in _dense(view, n)]
         cells[n] = _sparse_cells(products)
-    moved = AlgebraView(field, view.level_dims, tuple(cells), view.widths)
+    moved = AlgebraView(field, view.level_dims, tuple(cells))
     assert moved.cells != view.cells
+    assert moved.widths == view.widths
     for n in range(2, view.top_level + 1):
         assert upper_vertex_like_basis(moved, n) == upper_vertex_like_basis(view, n)
     family, *params = spec
@@ -698,46 +709,60 @@ def test_complete_graph_fails_boolean_recovery():
 
 
 def test_view_json_round_trip(boolean3):
-    for field, seed in ((F3, None), (F3, 2), (GF(5), 2)):
-        view = algebra_view(boolean3, field, scramble_seed=seed)
-        again = view_from_json_dict(view_to_json_dict(view))
+    # the widths are read off the cells, so the trip keeps them too
+    cases = [(F3, None), (F3, 2), (GF(5), 2), (QQ, None), (QQ, 3)]
+    views = [algebra_view(boolean3, field, scramble_seed=seed) for field, seed in cases]
+    views += [_random_basis_view(build_boolean(4), GF(5), 1)]
+    views += [_random_basis_view(boolean3, GF(2), 2)]
+    for view in views:
+        again = view_from_json_dict(json.loads(json.dumps(view_to_json_dict(view))))
         assert again == view
+        assert again.widths == view.widths
 
 
 def test_view_json_holds_only_nonzero_cells_in_order(boolean3):
-    # a cell that is zero in the field is dropped on read as well
+    # an entry that is zero in the field is dropped on read as well
     for field in (F3, QQ):
         data = view_to_json_dict(algebra_view(boolean3, field, scramble_seed=1))
         for entries in data["cells"].values():
-            assert all(any(c not in (0, "0") for c in cell) for _, _, cell in entries)
-            assert [(i, j) for i, j, _ in entries] == sorted({(i, j) for i, j, _ in entries})
+            assert all(x not in (0, "0") for *_, x in entries)
+            assert [tuple(e[:3]) for e in entries] == sorted({tuple(e[:3]) for e in entries})
         view = view_from_json_dict(data)
-        # every product written, the zero ones as 3 (F_3) or "0/5" (Q)
+        # every entry of every product written, the zero ones as 3 (F_3) or "0/5" (Q)
         zero = 3 if field == F3 else "0/5"
         data["cells"] = {
             str(n): [
-                [i, j, _cell_json(cell) if any(cell) else [zero] * len(cell)]
+                [i, j, k, x if c else zero]
                 for i, row in enumerate(_dense(view, n))
                 for j, cell in enumerate(row)
+                for k, (c, x) in enumerate(zip(cell, _cell_json(cell)))
             ]
             for n in (2, 3)
         }
         assert view_from_json_dict(data) == view
 
 
-def test_view_with_a_ragged_cell_is_a_shape_error(boolean3):
-    # not a NonNestingViolated from the recovery it would otherwise reach
-    data = view_to_json_dict(algebra_view(boolean3, scramble_seed=1))
-    data["cells"]["2"][0][2].pop()
-    with pytest.raises(DimensionMismatch, match="level 2 has cells of widths"):
-        view_from_json_dict(data)
+def test_dense_cell_layout_is_not_read(boolean3):
+    # each nonzero product as [i, j, cell], the cell dense at full width
+    view = algebra_view(boolean3, scramble_seed=1)
+    data = view_to_json_dict(view)
+    data["cells"] = {
+        str(n): [
+            [i, j, _cell_json(cell)]
+            for i, row in enumerate(_dense(view, n))
+            for j, cell in enumerate(row)
+            if any(cell)
+        ]
+        for n in (2, 3)
+    }
+    with pytest.raises(DimensionMismatch, match=r"level 2 entry \[0, \d, \[.*\]\] is not \[i, j"):
+        view_from_json_dict(json.loads(json.dumps(data)))
 
 
 @pytest.mark.parametrize("entry", [True, 1.5, [1]], ids=["bool", "float", "list"])
 def test_view_entries_that_are_not_scalars_are_shape_errors(boolean3, entry):
-    # a cell of ints is read whole; any other cell is read entry by entry
     data = view_to_json_dict(algebra_view(boolean3, GF(5), scramble_seed=1))
-    data["cells"]["2"][0][2][0] = entry
+    data["cells"]["2"][0][3] = entry
     with pytest.raises(DimensionMismatch, match="neither an int nor a string"):
         view_from_json_dict(data)
 
@@ -745,23 +770,45 @@ def test_view_entries_that_are_not_scalars_are_shape_errors(boolean3, entry):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda cells: cells["2"].append([3, 0, [1, 1, 1]]), r"cell \(3, 0\) is outside 3 x 3"),
-        (lambda cells: cells["2"][0].__setitem__(1, -1), r"cell \(0, -1\) is outside 3 x 3"),
-        (lambda cells: cells["2"][0].__setitem__(0, "0"), r"cell \('0', .*\) is outside"),
+        (lambda cells: cells["2"].append([3, 0, 0, 1]), r"entry \(3, 0, 0\) is outside 3 x 3 x 9"),
+        (lambda cells: cells["2"][0].__setitem__(1, -1), r"entry \(0, -1, \d\) is outside 3 x 3"),
+        (lambda cells: cells["2"][0].__setitem__(0, "0"), r"entry \('0', .*\) is outside"),
+        (lambda cells: cells["2"][-1].__setitem__(2, -1), r"entry \(2, \d, -1\) is outside"),
+        # the products lie in a quotient of V_2 (x) V_1, so k < 3 * 3; not
+        # a NonNestingViolated from the recovery it would otherwise reach
+        (lambda cells: cells["2"][-1].__setitem__(2, 9), r"entry \(2, \d, 9\) is outside 3 x 3 x"),
         (lambda cells: cells["2"].append(cells["2"][-1]), "repeated or out of order"),
         (lambda cells: cells["2"].reverse(), "repeated or out of order"),
-        (lambda cells: cells["2"].append([2, 2]), r"entry \[2, 2\] is not \[i, j, cell\]"),
-        (lambda cells: cells["2"].append([2, 2, 1]), r"is not \[i, j, cell\]"),
+        (lambda cells: cells["2"].append([2, 2, 0]), r"entry \[2, 2, 0\] is not \[i, j, k, v"),
+        (lambda cells: cells["2"].__setitem__(0, 5), r"entry 5 is not \[i, j, k, value\]"),
         (lambda cells: cells.__setitem__("2", {}), "level 2 cells are not a list"),
     ],
-    ids=["row-out-of-range", "column-negative", "index-a-string", "repeated", "out-of-order",
-         "short-entry", "cell-not-a-list", "level-not-a-list"],
+    ids=["row-out-of-range", "column-negative", "index-a-string", "quotient-negative",
+         "quotient-out-of-range", "repeated", "out-of-order", "short-entry", "cell-not-a-list",
+         "level-not-a-list"],
 )
 def test_view_cells_out_of_place_are_shape_errors(boolean3, edit, message):
     data = view_to_json_dict(algebra_view(boolean3, scramble_seed=1))
     edit(data["cells"])
     with pytest.raises(DimensionMismatch, match=message):
         view_from_json_dict(data)
+
+
+def test_view_past_budget_is_refused_before_allocating(monkeypatch):
+    # sixty bytes of JSON claim 100,000 basis vectors; the claim is
+    # counted before a row is allocated for any of them
+    data = {"field": 3, "level_dims": [0, 1, 100_000], "cells": {"2": []}}
+    monkeypatch.setenv("LAGA_BUDGET", "100000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="100001 basis vectors of the view exceed"):
+            view_from_json_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    monkeypatch.setenv("LAGA_BUDGET", "100001")
+    assert view_from_json_dict(data).widths == (0, 0, 0)
 
 
 @pytest.mark.parametrize("dims", [[5, 3, 3, 1], [0, -2], [0, 3, -3, 1]])
